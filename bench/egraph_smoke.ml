@@ -38,7 +38,10 @@ let () =
       let compile engine =
         let env, g = m.Zoo.build () in
         let prog = Corpus.both_program env.Std_ops.sg in
-        let stats = Pass.run ~engine prog g in
+        let config =
+          { Pass.Config.default with Pass.Config.engine = Some engine }
+        in
+        let stats = Pass.run_cfg ~config prog g in
         (match Graph.validate g with
         | [] -> ()
         | errs ->

@@ -20,10 +20,11 @@
                                      change the final graph)
      --quick                      -- smoke mode: first 3 models per suite
      --json PATH                  -- fig12/fig13: also write the figure's
-                                     machine-readable trajectory (engine x
-                                     domain-count matcher totals) to PATH;
-                                     the figure name is inserted before the
-                                     extension unless already present *)
+                                     machine-readable summary (engine
+                                     agreement, per-engine matcher totals)
+                                     to PATH; the figure name is inserted
+                                     before the extension unless already
+                                     present *)
 
 open Pypm
 
@@ -32,6 +33,9 @@ let device = Cost.a6000
 (* --engine / --quick, parsed in the driver at the bottom. *)
 let engine_filter : Pass.engine option ref = ref None
 let quick = ref false
+
+(* The pass configuration running [engine] ([None]: naive). *)
+let config_for engine = { Pass.Config.default with Pass.Config.engine }
 
 let engine_name = function
   | Pass.Naive -> "naive"
@@ -57,7 +61,7 @@ let time_s f =
   let r = f () in
   (r, Obs.monotonic () -. t0)
 
-(* --json PATH: write the figure's machine-readable trajectory. When the
+(* --json PATH: write the figure's machine-readable summary. When the
    path does not already name the figure, it is inserted before the
    extension, so one --json BENCH.json serves fig12 and fig13 both. *)
 let json_path : string option ref = ref None
@@ -98,7 +102,7 @@ let program_of sg = function
 let compile_and_time ?engine (model : Zoo.model) config =
   let env, g = model.Zoo.build () in
   let prog = program_of env.Std_ops.sg config in
-  let stats = Pass.run ?engine prog g in
+  let stats = Pass.run_cfg ~config:(config_for engine) prog g in
   let errs = Graph.validate g in
   if errs <> [] then (
     List.iter prerr_endline errs;
@@ -237,6 +241,13 @@ let graph_hash g =
    visits, matcher invocations, trie steps, and matches found. The
    acceptance bar for the pattern-set compiler is [plan] doing strictly
    fewer matcher visits than [index] while finding the same matches. *)
+type engine_row = {
+  er_engine : Pass.engine;
+  er_visits : int;
+  er_matches : int;
+  er_attempts : int;
+}
+
 let engine_comparison models =
   Printf.printf
     "\n   engine comparison (match_only, both families, all models):\n";
@@ -256,7 +267,11 @@ let engine_comparison models =
             let prog = Corpus.both_program env.Std_ops.sg in
             Matcher.reset_cumulative_visits ();
             Plan.reset_cumulative_steps ();
-            let stats = Pass.match_only ~engine prog g in
+            let stats =
+              Pass.match_only_cfg
+                ~config:(config_for (Some engine))
+                prog g
+            in
             visits := !visits + Matcher.cumulative_visits ();
             steps := !steps + Plan.cumulative_steps ();
             ms := !ms +. ((stats.Pass.wall_time +. stats.Pass.plan_time) *. 1e3);
@@ -268,27 +283,31 @@ let engine_comparison models =
           models;
         Printf.printf "   %-8s %14d %10d %12d %9d %7.1f\n" (engine_name engine)
           !visits !attempts !steps !matches !ms;
-        (engine, !visits, !matches))
+        { er_engine = engine; er_visits = !visits; er_matches = !matches;
+          er_attempts = !attempts })
       (engines_selected ())
   in
-  (match
-     ( List.assoc_opt Pass.Index
-         (List.map (fun (e, v, _) -> (e, v)) rows),
-       List.assoc_opt Pass.Plan (List.map (fun (e, v, _) -> (e, v)) rows) )
-   with
+  let visits_of e =
+    List.find_map
+      (fun r -> if r.er_engine = e then Some r.er_visits else None)
+      rows
+  in
+  (match (visits_of Pass.Index, visits_of Pass.Plan) with
   | Some vi, Some vp ->
       Printf.printf "   plan vs index matcher-visits: %d vs %d -- %s\n" vp vi
         (if vp < vi then "strictly fewer, OK"
          else "NOT fewer -- acceptance violated")
   | _ -> ());
-  match rows with
-  | (_, _, m0) :: rest ->
-      if not (List.for_all (fun (_, _, m) -> m = m0) rest) then
+  (match rows with
+  | r0 :: rest ->
+      if not (List.for_all (fun r -> r.er_matches = r0.er_matches) rest) then
         Printf.printf "   WARNING: engines disagree on match counts!\n"
-  | [] -> ()
+  | [] -> ());
+  rows
 
 (* All selected engines must drive the rewrite pass to the same fixpoint:
-   same rewrite count, structurally identical final graph. *)
+   same rewrite count, structurally identical final graph. Returns
+   whether they did on every model. *)
 let engine_agreement models =
   Printf.printf
     "\n   rewrite agreement (full pass to fixpoint, per engine):\n";
@@ -300,7 +319,10 @@ let engine_agreement models =
           (fun engine ->
             let env, g = m.Zoo.build () in
             let stats =
-              Pass.run ~engine (Corpus.both_program env.Std_ops.sg) g
+              Pass.run_cfg
+                ~config:(config_for (Some engine))
+                (Corpus.both_program env.Std_ops.sg)
+                g
             in
             (engine, stats.Pass.total_rewrites, graph_hash g))
           (engines_selected ())
@@ -326,7 +348,8 @@ let engine_agreement models =
       (String.concat ", " (List.map engine_name (engines_selected ())))
       n
   else
-    Printf.printf "   DISAGREEMENTS on %d of %d models\n" !disagreements n
+    Printf.printf "   DISAGREEMENTS on %d of %d models\n" !disagreements n;
+  !disagreements = 0
 
 (* One Chrome trace per figure suite: a full plan-engine rewrite pass over
    the suite's first model, every engine event captured. Loadable in
@@ -340,7 +363,10 @@ let suite_trace ~figure models =
       let stats =
         Obs.with_sink (Obs.Collector.sink c) (fun () ->
             let env, g = m.Zoo.build () in
-            Pass.run ~engine:Pass.Plan (Corpus.both_program env.Std_ops.sg) g)
+            Pass.run_cfg
+              ~config:(config_for (Some Pass.Plan))
+              (Corpus.both_program env.Std_ops.sg)
+              g)
       in
       Obs.Chrome.write path (Obs.Collector.events c);
       Printf.printf
@@ -349,155 +375,31 @@ let suite_trace ~figure models =
         path (Obs.Collector.length c) m.Zoo.mname stats.Pass.total_rewrites
         (List.length stats.Pass.provenance)
 
-(* Matcher-phase scaling: the same match_only workload (both families at
-   every node of every model), per engine, per domain count. Times come
-   from [time_s] around the whole call (best of two runs per cell);
-   matches/attempts come from the per-pattern stats — NOT from the
-   domain-local matcher visit counters, which undercount across domains. *)
-let domain_counts = [ 1; 2; 4 ]
-
-type sweep_row = {
-  sw_engine : string;
-  sw_domains : int;
-  sw_s : float;
-  sw_matches : int;
-  sw_attempts : int;
-}
-
-let domain_sweep models =
-  Printf.printf
-    "\n   matcher-phase domain sweep (match_only, both families, all \
-     models):\n";
-  Printf.printf "   engine   domains        ms    matches   attempts\n";
-  let rows =
-    List.concat_map
-      (fun engine ->
-        List.map
-          (fun domains ->
-            let total_s = ref 0.
-            and matches = ref 0
-            and attempts = ref 0 in
-            (* one team per domain count, reused across every model:
-               spawning domains costs milliseconds and is not the phase
-               being measured *)
-            let team = if domains > 1 then Some (Team.create ~shards:domains) else None in
-            let config =
-              Pass.Config.override ~engine ~domains ?team Pass.Config.default
-            in
-            Fun.protect
-              ~finally:(fun () -> Option.iter Team.shutdown team)
-              (fun () ->
-                List.iter
-                  (fun (m : Zoo.model) ->
-                    let env, g = m.Zoo.build () in
-                    let prog = Corpus.both_program env.Std_ops.sg in
-                    let once () =
-                      snd
-                        (time_s (fun () ->
-                             Pass.match_only_cfg ~config prog g))
-                    in
-                    let t = Float.min (once ()) (once ()) in
-                    let stats = Pass.match_only_cfg ~config prog g in
-                    total_s := !total_s +. t;
-                    List.iter
-                      (fun (ps : Pass.pattern_stats) ->
-                        matches := !matches + ps.Pass.matches;
-                        attempts := !attempts + ps.Pass.attempts)
-                      stats.Pass.per_pattern)
-                  models);
-            let row =
-              {
-                sw_engine = engine_name engine;
-                sw_domains = domains;
-                sw_s = !total_s;
-                sw_matches = !matches;
-                sw_attempts = !attempts;
-              }
-            in
-            Printf.printf "   %-8s %7d %9.1f %10d %10d\n" row.sw_engine
-              row.sw_domains (row.sw_s *. 1e3) row.sw_matches row.sw_attempts;
-            row)
-          domain_counts)
-      (engines_selected ())
-  in
-  (* every domain count must find exactly the same matches *)
-  let agrees =
-    List.for_all
-      (fun e ->
-        match
-          List.filter (fun r -> r.sw_engine = engine_name e) rows
-        with
-        | [] -> true
-        | r0 :: rest ->
-            List.for_all (fun r -> r.sw_matches = r0.sw_matches) rest)
-      (engines_selected ())
-  in
-  let speedup engine =
-    let of_d d =
-      List.find_opt
-        (fun r -> r.sw_engine = engine_name engine && r.sw_domains = d)
-        rows
-    in
-    match (of_d 1, of_d (List.fold_left max 1 domain_counts)) with
-    | Some a, Some b when b.sw_s > 0. -> Some (a.sw_s /. b.sw_s)
-    | _ -> None
-  in
-  List.iter
-    (fun e ->
-      match speedup e with
-      | Some s ->
-          Printf.printf "   %-8s matcher-phase speedup at %d domains: %.2fx\n"
-            (engine_name e)
-            (List.fold_left max 1 domain_counts)
-            s
-      | None -> ())
-    (engines_selected ());
-  Printf.printf "   parallel totals %s sequential totals\n"
-    (if agrees then "agree with" else "DISAGREE with");
-  (rows, agrees)
-
-let write_bench_json ~figure ~suite ~models ~max_pass (rows, agrees) =
+(* The figure's machine-readable summary: whether the selected engines
+   agree on every model's fixpoint, and each engine's match_only totals
+   over the suite. *)
+let write_bench_json ~figure ~suite ~models ~max_pass ~engines_agree rows =
   match json_file_for ~figure with
   | None -> ()
   | Some path ->
-      let buf = Buffer.create 4096 in
-      let engines = engines_selected () in
+      let buf = Buffer.create 1024 in
       Buffer.add_string buf
         (Printf.sprintf
-           "{\"figure\":\"%s\",\"suite\":\"%s\",\"quick\":%b,\"models\":%d,\"cores\":%d,\n"
+           "{\"figure\":\"%s\",\"suite\":\"%s\",\"quick\":%b,\"models\":%d,\n"
            (String.lowercase_ascii figure)
-           suite !quick (List.length models)
-           (Domain.recommended_domain_count ()));
+           suite !quick (List.length models));
       Buffer.add_string buf
-        (Printf.sprintf "\"max_full_pass_s\":%.6f,\"parallel_agrees\":%b,\n"
-           max_pass agrees);
+        (Printf.sprintf "\"max_full_pass_s\":%.6f,\"engines_agree\":%b,\n"
+           max_pass engines_agree);
       Buffer.add_string buf "\"engines\":[";
       List.iteri
-        (fun i e ->
+        (fun i r ->
           if i > 0 then Buffer.add_string buf ",";
-          let ename = engine_name e in
-          let erows = List.filter (fun r -> r.sw_engine = ename) rows in
-          let find_d d = List.find_opt (fun r -> r.sw_domains = d) erows in
-          let dmax = List.fold_left max 1 domain_counts in
-          let speedup =
-            match (find_d 1, find_d dmax) with
-            | Some a, Some b when b.sw_s > 0. -> a.sw_s /. b.sw_s
-            | _ -> 0.
-          in
           Buffer.add_string buf
-            (Printf.sprintf "\n{\"engine\":\"%s\",\"speedup\":%.3f,\"sweep\":["
-               ename speedup);
-          List.iteri
-            (fun j r ->
-              if j > 0 then Buffer.add_string buf ",";
-              Buffer.add_string buf
-                (Printf.sprintf
-                   "\n  \
-                    {\"domains\":%d,\"total_s\":%.6f,\"matches\":%d,\"attempts\":%d}"
-                   r.sw_domains r.sw_s r.sw_matches r.sw_attempts))
-            erows;
-          Buffer.add_string buf "]}")
-        engines;
+            (Printf.sprintf
+               "\n{\"engine\":\"%s\",\"matches\":%d,\"attempts\":%d}"
+               (engine_name r.er_engine) r.er_matches r.er_attempts))
+        rows;
       Buffer.add_string buf "]}\n";
       let oc = open_out_bin path in
       Fun.protect
@@ -520,12 +422,12 @@ let compile_cost_figure ~figure ~suite models =
       let env, g = m.Zoo.build () in
       let nodes = Graph.live_count g in
       let mha_stats =
-        Pass.match_only ?engine:!engine_filter
+        Pass.match_only_cfg ~config:(config_for !engine_filter)
           (Corpus.fmha_program env.Std_ops.sg)
           g
       in
       let epi_stats =
-        Pass.match_only ?engine:!engine_filter
+        Pass.match_only_cfg ~config:(config_for !engine_filter)
           (Corpus.epilog_program env.Std_ops.sg)
           g
       in
@@ -559,10 +461,10 @@ let compile_cost_figure ~figure ~suite models =
     "   QUAL2: max full rewrite-pass time on any model: %.3f s (paper \
      bound: < 3 s)\n"
     !max_pass;
-  engine_comparison models;
-  engine_agreement models;
-  let sweep = domain_sweep models in
-  write_bench_json ~figure ~suite ~models ~max_pass:!max_pass sweep;
+  let rows = engine_comparison models in
+  let engines_agree = engine_agreement models in
+  write_bench_json ~figure ~suite ~models ~max_pass:!max_pass ~engines_agree
+    rows;
   suite_trace ~figure models;
   print_newline ()
 
@@ -587,7 +489,9 @@ let mm () =
       let env, g = m.Zoo.build () in
       let base = Exec.graph_cost device g in
       let stats =
-        Pass.run ?engine:!engine_filter (Corpus.full_program env.Std_ops.sg) g
+        Pass.run_cfg ~config:(config_for !engine_filter)
+          (Corpus.full_program env.Std_ops.sg)
+          g
       in
       let after = Exec.graph_cost device g in
       Printf.printf
@@ -708,13 +612,14 @@ let ablation () =
         let env, g = m.Zoo.build () in
         let prog = Corpus.both_program env.Std_ops.sg in
         (* warm, then time best of 3 *)
-        ignore (Pass.match_only ~engine prog g);
+        let config = config_for (Some engine) in
+        ignore (Pass.match_only_cfg ~config prog g);
         let best = ref infinity in
         for _ = 1 to 3 do
-          let _, t = time_s (fun () -> Pass.match_only ~engine prog g) in
+          let _, t = time_s (fun () -> Pass.match_only_cfg ~config prog g) in
           best := Float.min !best t
         done;
-        let stats = Pass.match_only ~engine prog g in
+        let stats = Pass.match_only_cfg ~config prog g in
         let attempts =
           List.fold_left (fun a ps -> a + ps.Pass.attempts) 0 stats.Pass.per_pattern
         in
@@ -733,7 +638,9 @@ let ablation () =
   let m = Option.get (Zoo.find "bert-base") in
   let run engine =
     let env, g = m.Zoo.build () in
-    let stats = Pass.run ~engine (Corpus.both_program env.Std_ops.sg) g in
+    let stats = Pass.run_cfg ~config:(config_for (Some engine))
+        (Corpus.both_program env.Std_ops.sg)
+        g in
     stats.Pass.total_rewrites
   in
   Printf.printf "   rewrites agree: naive %d, indexed %d, plan %d\n"
@@ -771,7 +678,7 @@ let ablation () =
       let speedup dev =
         let env, g = m.Zoo.build () in
         let base = Exec.graph_cost dev g in
-        ignore (Pass.run (Corpus.both_program env.Std_ops.sg) g);
+        ignore (Pass.run_cfg (Corpus.both_program env.Std_ops.sg) g);
         Exec.speedup ~baseline:base ~optimized:(Exec.graph_cost dev g)
       in
       Printf.printf "   %-14s %s %.3fx   %s %.3fx\n" name

@@ -242,15 +242,6 @@ let engine_arg =
             machinery plus a cost-guided equality-saturation post-phase \
             that commits only strict cost improvements).")
 
-(* Shared by optimize/bench/load: matching domains per pass. *)
-let domains_arg =
-  Cmdliner.Arg.(
-    value & opt int 1 & info [ "domains" ] ~docv:"N"
-      ~doc:"Shard the matching phase of every pass iteration across $(docv) \
-            domains. Firing order, provenance and the final graph are \
-            byte-identical to the sequential pass; 1 (the default) keeps \
-            the sequential path. Fault injection forces 1.")
-
 let fault_points_of_names names =
   List.map
     (fun n ->
@@ -279,7 +270,7 @@ let write_stats_json dest stats =
       Printf.printf "wrote %s\n" path
 
 let optimize_cmd =
-  let run model opt patterns engine domains verbose dot debug trace fuel
+  let run model opt patterns engine verbose dot debug trace fuel
       deadline fault_seed fault_rate fault_points strict quarantine_after
       stats_json =
     if debug then (
@@ -300,9 +291,17 @@ let optimize_cmd =
           in
           Resilience.Inject.seeded ~points ~seed ~rate:fault_rate ()
     in
+    let d = Pass.Config.default in
     let config =
-      Pass.Config.override ~engine ~domains ?fuel ?deadline_s:deadline
-        ?quarantine_after ~inject Pass.Config.default
+      {
+        d with
+        Pass.Config.engine = Some engine;
+        fuel = Option.value fuel ~default:d.Pass.Config.fuel;
+        deadline_s = deadline;
+        quarantine_after =
+          Option.value quarantine_after ~default:d.Pass.Config.quarantine_after;
+        inject;
+      }
     in
     let stats =
       with_trace trace (fun () ->
@@ -407,7 +406,7 @@ let optimize_cmd =
   Cmd.v
     (Cmd.info "optimize" ~doc:"Run the rewrite pass over a zoo model")
     Term.(const run $ model $ opt_arg $ patterns_arg $ engine_arg
-          $ domains_arg $ verbose $ dot $ debug $ trace $ fuel $ deadline
+          $ verbose $ dot $ debug $ trace $ fuel $ deadline
           $ fault_seed $ fault_rate $ fault_points $ strict
           $ quarantine_after $ stats_json)
 
@@ -465,7 +464,10 @@ let trace_cmd =
   let run model opt patterns engine out events limit =
     let env, g = build_model model in
     let program = resolve_program env opt patterns in
-    let stats = with_trace out (fun () -> Pass.run ~engine program g) in
+    let config =
+      { Pass.Config.default with Pass.Config.engine = Some engine }
+    in
+    let stats = with_trace out (fun () -> Pass.run_cfg ~config program g) in
     let prov = Pass.provenance stats in
     Printf.printf "rewrite narrative for %s (%s engine, %d step(s)):\n" model
       (Pass.engine_name engine) (List.length prov);
@@ -788,7 +790,7 @@ let serve_cmd =
           $ debug)
 
 let load_cmd =
-  let run socket clients requests seed opt engine domains variants fault_seed
+  let run socket clients requests seed opt engine variants fault_seed
       fault_rate fault_points timeout min_hits =
     (match fault_points with
     | [] -> ()
@@ -797,7 +799,6 @@ let load_cmd =
       {
         Protocol.default_options with
         Protocol.engine;
-        domains;
         fault_seed = Option.value fault_seed ~default:0;
         fault_rate = (if fault_seed = None then 0. else fault_rate);
         fault_points;
@@ -872,7 +873,7 @@ let load_cmd =
          "Drive a running server with concurrent clients and report \
           throughput, latency percentiles and cache hit rate")
     Term.(const run $ socket_arg $ clients $ requests $ seed $ opt_arg
-          $ engine $ domains_arg $ variants $ fault_seed $ fault_rate
+          $ engine $ variants $ fault_seed $ fault_rate
           $ fault_points $ timeout $ min_hits)
 
 (* ------------------------------------------------------------------ *)

@@ -28,7 +28,7 @@ let run variant name =
   let env, g = build_transformer variant 42 in
   describe env g (name ^ " (before)");
   let before = Exec.graph_cost Cost.a6000 g in
-  let stats = Pass.run (Corpus.epilog_program env.Std_ops.sg) g in
+  let stats = Pass.run_cfg (Corpus.epilog_program env.Std_ops.sg) g in
   let after = Exec.graph_cost Cost.a6000 g in
   describe env g (name ^ " (after)");
   let gelu_stats = Option.get (Pass.find_pattern_stats stats "Gelu") in

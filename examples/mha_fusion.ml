@@ -15,7 +15,7 @@ let compile model_name config_name program_of =
   | Some m ->
       let env, g = m.Zoo.build () in
       let baseline = Exec.graph_cost device g in
-      let stats = Pass.run (program_of env.Std_ops.sg) g in
+      let stats = Pass.run_cfg (program_of env.Std_ops.sg) g in
       let cost = Exec.graph_cost device g in
       let totals = Exec.totals device g in
       Printf.printf "  %-10s %8.4f ms  speedup %5.3fx  %4.0f launches  %3d rewrites\n"
@@ -37,5 +37,5 @@ let () =
   let m = Option.get (Zoo.find "pico") in
   let env, g = m.Zoo.build () in
   Format.printf "pico before:@.%a@.@." Graph.pp g;
-  ignore (Pass.run (Corpus.both_program env.Std_ops.sg) g);
+  ignore (Pass.run_cfg (Corpus.both_program env.Std_ops.sg) g);
   Format.printf "pico after:@.%a@." Graph.pp g

@@ -47,7 +47,7 @@ let () =
 
   (* 4. Run the greedy rewrite pass to fixpoint. *)
   let before = Exec.graph_cost Cost.a6000 g in
-  let stats = Pass.run program g in
+  let stats = Pass.run_cfg program g in
   let after = Exec.graph_cost Cost.a6000 g in
   Format.printf "== after ==@.%a@.@." Graph.pp g;
   Format.printf "%a@." Pass.pp_stats stats;

@@ -46,6 +46,6 @@ let () =
   in
   Graph.set_outputs g [ relus 3 mm ];
   Format.printf "== before ==@.%a@.@." Graph.pp g;
-  let stats = Pass.run program g in
+  let stats = Pass.run_cfg program g in
   Format.printf "== after ==@.%a@.@." Graph.pp g;
   Format.printf "%a@." Pass.pp_stats stats

@@ -74,5 +74,6 @@ val optimize :
   ?config:Config.t -> Program.t -> Pypm_graph.Graph.t -> Pass.stats
 
 (** Machine-readable pass statistics, including the effective config
-    block ([engine_requested]/[engine_used], fuel, domains, ...). *)
+    block ([engine_requested]/[engine_used], fuel, max_rewrites,
+    check_types). *)
 val stats_json : Pass.stats -> string

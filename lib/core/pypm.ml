@@ -22,7 +22,7 @@
       breakers, and deterministic fault injection for the pass;
     - {!Rule}, {!Program}, {!Pass}, {!Eqsat}, {!Partition}: rewrite rules,
       the greedy rewrite pass (section 2.4), the cost-guided
-      equality-saturation post-phase behind [Pass.run ~engine:Egraph],
+      equality-saturation post-phase behind the pass's [Egraph] engine,
       and directed graph partitioning (section 4.2);
     - {!Kernel}, {!Cost}, {!Exec}: the library-kernel registry and the GPU
       cost model / execution simulator;
@@ -93,7 +93,6 @@ module Codec = Pypm_serialize.Codec
 module Protocol = Pypm_serialize.Protocol
 module Cache = Pypm_serve.Cache
 module Pool = Pypm_parallel.Pool
-module Team = Pypm_parallel.Team
 module Server = Pypm_serve.Server
 module Load = Pypm_serve.Load
 module Chaos = Pypm_serve.Chaos

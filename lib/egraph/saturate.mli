@@ -5,7 +5,7 @@
     the egg-style baseline the paper contrasts PyPM with. Where the greedy
     destructive pass commits to the first rule that fires (and can destroy
     a redex a later rule needed), saturation keeps every version and lets
-    extraction choose. [Pass.run ~engine:Egraph] runs this loop over a
+    extraction choose. The pass's [Egraph] engine runs this loop over a
     lowered graph region; the ablation bench runs both on the same
     inputs.
 

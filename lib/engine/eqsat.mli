@@ -11,7 +11,7 @@
     transactionally via [Graph.Txn] — committing only strict whole-graph
     cost improvements.
 
-    [Pass.run ~engine:Egraph] runs this as a post-phase after the plan
+    The pass's [Egraph] engine runs this as a post-phase after the plan
     machinery, so its result is never costlier than the Plan engine's on
     the same graph, by construction.
 

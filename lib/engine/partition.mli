@@ -62,7 +62,7 @@ val fuse_all :
 val extract_region : Graph.t -> region -> Graph.t * Graph.node
 
 (** [compile_region ~compile graph region] extracts the region, applies
-    [compile] to the standalone graph (e.g. a {!Pass.run} with a kernel
+    [compile] to the standalone graph (e.g. a {!Pass.run_cfg} with a kernel
     program), and returns it for costing; used by the JIT-fusion demo. *)
 val compile_region :
   compile:(Graph.t -> unit) -> Graph.t -> region -> Graph.t

@@ -4,7 +4,6 @@ module Plan = Pypm_plan.Plan
 module Obs = Pypm_obs.Obs
 module Breaker = Pypm_resilience.Resilience.Breaker
 module Inject = Pypm_resilience.Resilience.Inject
-module Team = Pypm_parallel.Team
 
 type engine = Naive | Index | Plan | Egraph
 
@@ -18,16 +17,13 @@ let engine_name = function
 (* Run configuration                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* One record for the knobs every entry point of the [run] family used to
-   copy as eleven optional arguments. The labelled entry points survive as
-   thin shims over the [*_cfg] forms; callers outside lib/engine build a
+(* One record for every knob of the pass. Callers build a
    [Config.t] (usually [{ Config.default with ... }]) and pass that one
-   value around instead of re-threading each field. *)
+   value to [prepare_cfg] / [run_cfg] / [run_prepared_cfg] /
+   [match_only_cfg]. *)
 module Config = struct
   type t = {
-    engine : engine option;
-        (** [None]: fall back to [indexed]'s Naive/Index choice *)
-    indexed : bool;
+    engine : engine option;  (** [None]: Naive *)
     check_types : bool;
     fuel : int;
     max_rewrites : int;
@@ -35,14 +31,11 @@ module Config = struct
     quarantine_after : int;
     inject : Inject.schedule;
     on_error : [ `Quarantine | `Fail ];
-    domains : int;
-    team : Team.t option;
   }
 
   let default =
     {
       engine = None;
-      indexed = false;
       check_types = true;
       fuel = 200_000;
       max_rewrites = 10_000;
@@ -50,28 +43,6 @@ module Config = struct
       quarantine_after = 5;
       inject = Inject.none;
       on_error = `Quarantine;
-      domains = 1;
-      team = None;
-    }
-
-  (* Fold a shim's optional arguments over a base configuration; an
-     omitted argument keeps the base's value. *)
-  let override ?engine ?indexed ?check_types ?fuel ?max_rewrites ?deadline_s
-      ?quarantine_after ?inject ?on_error ?domains ?team base =
-    let v opt dflt = Option.value opt ~default:dflt in
-    {
-      engine = (match engine with Some _ as e -> e | None -> base.engine);
-      indexed = v indexed base.indexed;
-      check_types = v check_types base.check_types;
-      fuel = v fuel base.fuel;
-      max_rewrites = v max_rewrites base.max_rewrites;
-      deadline_s =
-        (match deadline_s with Some _ as d -> d | None -> base.deadline_s);
-      quarantine_after = v quarantine_after base.quarantine_after;
-      inject = v inject base.inject;
-      on_error = v on_error base.on_error;
-      domains = v domains base.domains;
-      team = (match team with Some _ as t -> t | None -> base.team);
     }
 end
 
@@ -126,7 +97,6 @@ type stats = {
   mutable reached_fixpoint : bool;
   mutable deadline_hit : bool;
   mutable engine_used : string;
-  mutable domains_used : int;
   mutable engine_requested : string;
   mutable cfg_check_types : bool;
   mutable cfg_fuel : int;
@@ -166,7 +136,6 @@ let fresh_stats (program : Program.t) =
     reached_fixpoint = false;
     deadline_hit = false;
     engine_used = "";
-    domains_used = 1;
     engine_requested = "";
     cfg_check_types = true;
     cfg_fuel = 0;
@@ -226,7 +195,7 @@ let now = Obs.monotonic
 (* Raised to unwind out of the traversal when the pass cannot or must not
    continue (wall-clock deadline, fatal error under [`Fail], no engine
    left on the ladder). The relevant stats fields are always set before
-   raising; [run] catches it and returns the partial stats. *)
+   raising; [run_prepared_cfg] catches it and returns the partial stats. *)
 exception Aborted
 
 type rctx = {
@@ -274,13 +243,13 @@ let entry_slots ~quarantine_after (program : Program.t) stats =
       (Breaker.create ~threshold:quarantine_after, ps))
     program.Program.entries stats.per_pattern
 
-let contexts ~indexed (program : Program.t) slots =
+let contexts ~prefilter (program : Program.t) slots =
   List.map2
     (fun (e : Program.entry) (breaker, ps) ->
       {
         entry = e;
         heads =
-          (if indexed then Pypm_pattern.Pattern.root_heads e.Program.pattern
+          (if prefilter then Pypm_pattern.Pattern.root_heads e.Program.pattern
            else None);
         breaker;
         epstats = ps;
@@ -518,8 +487,7 @@ let fire rc g view (c : ectx) node theta phi =
   in
   try_rules c.entry.Program.rules
 
-let resolve_engine engine indexed =
-  match engine with Some e -> e | None -> if indexed then Index else Naive
+let resolve_engine engine = Option.value engine ~default:Naive
 
 (* ------------------------------------------------------------------ *)
 (* Full-traversal engines (Naive, Index)                               *)
@@ -717,8 +685,8 @@ type prepared = {
          machinery for its greedy phase) *)
 }
 
-let prepare ?engine ?(indexed = false) (program : Program.t) =
-  let e = resolve_engine engine indexed in
+let prepare_cfg ?(config = Config.default) (program : Program.t) =
+  let e = resolve_engine config.Config.engine in
   let p_plan =
     match e with
     | Plan | Egraph ->
@@ -781,8 +749,8 @@ let prepare_engine rc (p : prepared) slots =
             Error "no egraph-convertible rules in the program"
           else planned ()
       | Plan -> planned ()
-      | Index -> Ok (Scan (contexts ~indexed:true program slots))
-      | Naive -> Ok (Scan (contexts ~indexed:false program slots))
+      | Index -> Ok (Scan (contexts ~prefilter:true program slots))
+      | Naive -> Ok (Scan (contexts ~prefilter:false program slots))
   in
   let rec ladder e =
     match prep e with
@@ -807,381 +775,6 @@ let prepare_engine rc (p : prepared) slots =
             raise Aborted)
   in
   ladder p.p_engine
-
-(* ------------------------------------------------------------------ *)
-(* Sharded matching: intra-pass parallelism                            *)
-(*                                                                     *)
-(* The sequential pass is "match everywhere, fire the first witness,   *)
-(* restart": within one iteration the graph is immutable until exactly *)
-(* one rule fires. That makes the matching half embarrassingly         *)
-(* parallel — per (node, entry) it is a pure function of the node's    *)
-(* term view — as long as the *decisions* (which witness fires, which  *)
-(* breaker strikes) are replayed in the sequential order. So:          *)
-(*                                                                     *)
-(*   1. the candidate worklist (live-topo order; dirty-filtered under  *)
-(*      Plan) is cut into contiguous blocks;                           *)
-(*   2. each block is split into one contiguous slice per domain;      *)
-(*      workers match their slice read-only against a per-domain term  *)
-(*      view and a start-of-block snapshot of the breaker state,       *)
-(*      reporting speculative outcomes (witness / fuel-out) per entry  *)
-(*      in entry order, plus their domain-local obs events;            *)
-(*   3. the arbiter (calling domain) replays outcomes in node order —  *)
-(*      skipping entries whose breaker is tripped at consumption time, *)
-(*      striking on fuel-outs, firing witnesses with the sequential    *)
-(*      [fire] — and ends the iteration at the first successful fire.  *)
-(*                                                                     *)
-(* Quarantine filtering at consumption time is what makes this exact:  *)
-(* breaker strikes are monotone within a pass, so an entry the arbiter *)
-(* skips is precisely an entry the sequential scanner would have       *)
-(* skipped at that point, and matching one speculatively changed       *)
-(* nothing the fire decision can observe. Firing order, provenance and *)
-(* the final graph are therefore byte-identical to the sequential      *)
-(* pass; only speculative match *counts* (per-pattern attempts beyond  *)
-(* the fire point) may exceed the sequential ones. Fault-injection     *)
-(* schedules are consumed in query order, so an active schedule forces *)
-(* the sequential path (see [run_prepared]).                           *)
-(* ------------------------------------------------------------------ *)
-
-(* Speculative per-entry outcome computed by a shard worker. *)
-type spec =
-  | Sw_witness of Pypm_term.Subst.t * Pypm_term.Fsubst.t
-  | Sw_fuel_out
-
-type shard_report = {
-  sr_events : Obs.event list; (* worker-domain events, emission order *)
-  sr_specs : (int * spec) list array; (* per slice node, entry order *)
-  sr_walk : float; (* seconds inside the shared plan's trie walk *)
-  sr_elapsed : float; (* monotonic seconds spent in the slice *)
-}
-
-(* Worker-side mirror of [try_match]: same prefilter, same matcher call,
-   same events — but the outcome is reported, not acted on. Strikes,
-   quarantine and firing belong to the arbiter. [tripped] is the
-   start-of-block breaker snapshot: a tripped entry is skipped exactly
-   like the sequential scanner skips it (silently). *)
-let spec_match ~fuel ~tripped view ei (c : ectx) (node : Graph.node) =
-  let pname = c.entry.Program.pname in
-  if tripped.(ei) then None
-  else
-    match c.heads with
-    | Some heads when not (Pypm_term.Symbol.Set.mem node.Graph.op heads) ->
-        Obs.emit ~node:node.Graph.id
-          (Obs.Pruned { pattern = pname; via = Obs.Head_index });
-        None
-    | _ -> (
-        let t = Term_view.term_of view node in
-        let interp = Term_view.interp view in
-        let t0 = now () in
-        let outcome =
-          Matcher.matches ~interp ~policy:Outcome.Policy.Backtrack ~fuel
-            c.entry.Program.pattern t
-        in
-        let dur = now () -. t0 in
-        let obs_outcome =
-          match outcome with
-          | Outcome.Matched _ -> Obs.Matched
-          | Outcome.No_match -> Obs.No_match
-          | Outcome.Stuck -> Obs.Stuck
-          | Outcome.Out_of_fuel -> Obs.Out_of_fuel
-        in
-        Obs.emit ~node:node.Graph.id ~dur
-          (Obs.Match_attempt
-             {
-               pattern = pname;
-               outcome = obs_outcome;
-               visits = Matcher.last_visits ();
-             });
-        match outcome with
-        | Outcome.Matched (theta, phi) -> Some (Sw_witness (theta, phi))
-        | Outcome.Out_of_fuel ->
-            Obs.emit ~node:node.Graph.id
-              (Obs.Fuel_exhausted { pattern = pname; fuel });
-            Some Sw_fuel_out
-        | Outcome.No_match | Outcome.Stuck -> None)
-
-(* All entries at one node, scan style (Naive/Index), in entry order. *)
-let spec_scan_node ~fuel ~tripped ~ectxs view node =
-  let acc = ref [] in
-  Array.iteri
-    (fun ei c ->
-      match spec_match ~fuel ~tripped view ei c node with
-      | Some s -> acc := (ei, s) :: !acc
-      | None -> ())
-    ectxs;
-  List.rev !acc
-
-(* All entries at one node through the shared plan, mirroring
-   [plan_match_at]: one trie walk covers the compiled patterns, fallback
-   entries run the backtracking matcher behind their prefilter. *)
-let spec_plan_node ~fuel ~tripped ~walk ~plan ~pctxs view (node : Graph.node) =
-  let t = Term_view.term_of view node in
-  let interp = Term_view.interp view in
-  let t0 = now () in
-  let results = Plan.match_node plan ~interp t in
-  walk := !walk +. (now () -. t0);
-  let acc = ref [] in
-  Array.iteri
-    (fun ei pe ->
-      match pe with
-      | Trie c ->
-          if not tripped.(ei) then begin
-            let pname = c.entry.Program.pname in
-            match List.assoc_opt pname results with
-            | Some (theta, phi) ->
-                Obs.emit ~node:node.Graph.id (Obs.Plan_match { pattern = pname });
-                acc := (ei, Sw_witness (theta, phi)) :: !acc
-            | None ->
-                Obs.emit ~node:node.Graph.id
-                  (Obs.Pruned { pattern = pname; via = Obs.Plan_trie })
-          end
-      | Backtrack c -> (
-          match spec_match ~fuel ~tripped view ei c node with
-          | Some s -> acc := (ei, s) :: !acc
-          | None -> ()))
-    pctxs;
-  List.rev !acc
-
-(* One shard's slice of a block. Shard 0 runs on the calling domain,
-   whose sinks (the pass's aggregator) are already attached, so it emits
-   directly and returns no events; workers capture their domain-local
-   stream into a collector for the arbiter to [Obs.replay]. *)
-let shard_slice ~shard specs_at (nodes : Graph.node array) lo hi =
-  let t0 = now () in
-  let walk = ref 0. in
-  let work () = Array.init (hi - lo) (fun k -> specs_at ~walk nodes.(lo + k)) in
-  if shard = 0 then
-    let sp = work () in
-    { sr_events = []; sr_specs = sp; sr_walk = !walk; sr_elapsed = now () -. t0 }
-  else
-    let coll = Obs.Collector.create () in
-    let sp = Obs.with_sink (Obs.Collector.sink coll) work in
-    {
-      sr_events = Obs.Collector.events coll;
-      sr_specs = sp;
-      sr_walk = !walk;
-      sr_elapsed = now () -. t0;
-    }
-
-let spec_witnesses (r : shard_report) =
-  Array.fold_left
-    (fun a specs ->
-      a
-      + List.length
-          (List.filter (function _, Sw_witness _ -> true | _ -> false) specs))
-    0 r.sr_specs
-
-(* Cut [b0, b1) into one contiguous slice per shard. *)
-let shard_bounds ~shards b0 b1 =
-  let len = b1 - b0 in
-  let chunk = (len + shards - 1) / shards in
-  Array.init shards (fun i ->
-      let lo = b0 + (i * chunk) in
-      if lo >= b1 then (b1, b1) else (lo, min b1 (lo + chunk)))
-
-let run_sharded rc ~team ~max_rewrites runnable g =
-  let stats = rc.rstats in
-  let domains = Team.shards team in
-  let ectxs, plan_parts =
-    match runnable with
-    | Scan ctxs -> (Array.of_list ctxs, None)
-    | Planned (plan, pctxs) ->
-        let pa = Array.of_list pctxs in
-        (Array.map (function Trie c | Backtrack c -> c) pa, Some (plan, pa))
-  in
-  let n_entries = Array.length ectxs in
-  let tripped = Array.make (max n_entries 1) false in
-  let refresh_tripped () =
-    Array.iteri
-      (fun ei (c : ectx) -> tripped.(ei) <- Breaker.tripped c.breaker)
-      ectxs
-  in
-  (* Same work-queue as [run_plan]: under Plan only dirty nodes are
-     candidates; the full-traversal engines rescan everything. *)
-  let dirty =
-    match plan_parts with
-    | None -> None
-    | Some _ ->
-        let d : (int, unit) Hashtbl.t = Hashtbl.create 512 in
-        List.iter
-          (fun (n : Graph.node) -> Hashtbl.replace d n.Graph.id ())
-          (Graph.live_nodes g);
-        Some d
-  in
-  let fuel = rc.rfuel in
-  (* Mirror the sequential scanner's view memoization. When the graph
-     holds structurally equal duplicate nodes, [Term_view.node_of]
-     resolves a witness term to whichever duplicate was registered
-     first — so which node a rule variable rewires to depends on the
-     [term_of] call ORDER, not just the set of calls. The sequential
-     scan registers every node where at least one live entry survives
-     the head prefilter (plan candidates always walk the trie), in
-     worklist order; the arbiter must do exactly the same as it
-     consumes, or a firing can splice in the wrong duplicate and break
-     byte-identity. *)
-  let register_like_sequential view (node : Graph.node) =
-    let attempted =
-      match plan_parts with
-      | Some _ -> true
-      | None ->
-          Array.exists
-            (fun (c : ectx) ->
-              (not (Breaker.tripped c.breaker))
-              &&
-              match c.heads with
-              | Some heads -> Pypm_term.Symbol.Set.mem node.Graph.op heads
-              | None -> true)
-            ectxs
-    in
-    if attempted then
-      ignore (Term_view.term_of view node : Pypm_term.Term.t)
-  in
-  (* Replay one block's outcomes in node order; returns the replacement
-     root if a fire ended the iteration. [views.(0)] is the arbiter's
-     own view; witnesses are fired out of it, never out of a worker's. *)
-  let consume_block (views : Term_view.t array) (nodes : Graph.node array)
-      bounds reports =
-    let main_view = views.(0) in
-    (* A witness substitution binds the worker view's term copies. Both
-       views resolve term -> node through a table whose [equal] leads
-       with physical equality; firing with foreign copies would push
-       every guard/instantiation lookup onto the structural path, which
-       unfolds the shared DAG — exponential on transformer-shaped
-       graphs. Rebinding through the worker's [node_of] (a physical
-       hit) and the arbiter's memoized [term_of] keeps every downstream
-       lookup on the fast path, exactly like the sequential scan firing
-       out of its own view — and lets structural duplicates resolve by
-       the arbiter view's registration order, as sequential would. *)
-    let localize worker_view theta =
-      Pypm_term.Subst.of_list
-        (List.map
-           (fun (x, t) ->
-             match Term_view.node_of worker_view t with
-             | Some n -> (x, Term_view.term_of main_view n)
-             | None -> (x, t))
-           (Pypm_term.Subst.bindings theta))
-    in
-    let fired = ref None in
-    let replayed = ref 0 and discarded = ref 0 in
-    let fired_n = ref 0 in
-    let emit_merged () =
-      Obs.emit
-        (Obs.Shard_merged
-           { fired = !fired_n; replayed = !replayed; discarded = !discarded })
-    in
-    (try
-       Array.iteri
-         (fun i (r : shard_report) ->
-           let lo, _ = bounds.(i) in
-           Array.iteri
-             (fun k specs ->
-               let node = nodes.(lo + k) in
-               if !fired <> None then
-                 discarded := !discarded + List.length specs
-               else begin
-                 check_deadline rc;
-                 stats.nodes_visited <- stats.nodes_visited + 1;
-                 register_like_sequential main_view node;
-                 let node_root = ref None in
-                 List.iter
-                   (fun (ei, s) ->
-                     if !node_root <> None then incr discarded
-                     else begin
-                       incr replayed;
-                       let c = ectxs.(ei) in
-                       if Breaker.tripped c.breaker then incr discarded
-                       else
-                         match s with
-                         | Sw_fuel_out -> strike rc c
-                         | Sw_witness (theta, phi) -> (
-                             let theta = localize views.(i) theta in
-                             let before_last_id =
-                               match dirty with
-                               | Some _ -> last_node_id g
-                               | None -> -1
-                             in
-                             match fire rc g main_view c node theta phi with
-                             | Some new_root ->
-                                 node_root := Some new_root;
-                                 incr fired_n;
-                                 Option.iter
-                                   (fun d ->
-                                     mark_dirty_region g d ~before_last_id
-                                       new_root)
-                                   dirty
-                             | None -> ())
-                     end)
-                   specs;
-                 match !node_root with
-                 | Some nr -> fired := Some nr
-                 | None ->
-                     Option.iter
-                       (fun d -> Hashtbl.remove d node.Graph.id)
-                       dirty
-               end)
-             r.sr_specs)
-         reports
-     with Aborted ->
-       emit_merged ();
-       raise Aborted);
-    emit_merged ();
-    !fired
-  in
-  let rec iterate () =
-    stats.iterations <- stats.iterations + 1;
-    Obs.emit (Obs.Iteration { n = stats.iterations });
-    (* Per-domain views: term-view memo tables are not thread-safe, and
-       the team pins shard i to one domain, so views.(i) is only ever
-       touched by that domain within this iteration. *)
-    let views = Array.init domains (fun _ -> Term_view.create g) in
-    let specs_at i ~walk node =
-      match plan_parts with
-      | None -> spec_scan_node ~fuel ~tripped ~ectxs views.(i) node
-      | Some (plan, pctxs) ->
-          spec_plan_node ~fuel ~tripped ~walk ~plan ~pctxs views.(i) node
-    in
-    let nodes =
-      let live = Graph.live_nodes g in
-      Array.of_list
-        (match dirty with
-        | None -> live
-        | Some d ->
-            List.filter (fun (n : Graph.node) -> Hashtbl.mem d n.Graph.id) live)
-    in
-    let total = Array.length nodes in
-    (* Blocks bound the speculation wasted past a fire: at most one block
-       of matching is thrown away per iteration. *)
-    let block = max (8 * domains) 32 in
-    let fired = ref None in
-    let b0 = ref 0 in
-    while !fired = None && !b0 < total do
-      let b1 = min total (!b0 + block) in
-      let bounds = shard_bounds ~shards:domains !b0 b1 in
-      refresh_tripped ();
-      Obs.emit (Obs.Shard_dispatch { domains; candidates = b1 - !b0 });
-      let reports =
-        Team.run team (fun i ->
-            let lo, hi = bounds.(i) in
-            shard_slice ~shard:i (specs_at i) nodes lo hi)
-      in
-      Array.iteri
-        (fun i (r : shard_report) ->
-          if i > 0 then Obs.replay r.sr_events;
-          stats.plan_time <- stats.plan_time +. r.sr_walk;
-          let lo, hi = bounds.(i) in
-          Obs.emit ~dur:r.sr_elapsed
-            (Obs.Shard_matched
-               { domain = i; nodes = hi - lo; witnesses = spec_witnesses r }))
-        reports;
-      fired := consume_block views nodes bounds reports;
-      b0 := b1
-    done;
-    match !fired with
-    | Some _ ->
-        stats.collected <- stats.collected + Graph.gc g;
-        if stats.total_rewrites < max_rewrites then iterate ()
-    | None -> stats.reached_fixpoint <- true
-  in
-  iterate ()
 
 (* ------------------------------------------------------------------ *)
 (* Entry points                                                        *)
@@ -1216,21 +809,10 @@ let finalize (program : Program.t) agg stats =
 
 let run_prepared_cfg ?(config = Config.default) (p : prepared) g =
   let { Config.check_types; fuel; max_rewrites; deadline_s; quarantine_after;
-        inject; on_error; domains; team; _ } = config in
+        inject; on_error; _ } = config in
   let program = p.p_program in
   let stats = fresh_stats program in
   let agg = Obs.Agg.create () in
-  (* A fault schedule is a seeded stream consumed in query order; sharded
-     matching would permute the queries, so an active schedule pins the
-     pass to the sequential path. A borrowed [team] sets the domain count
-     (spawning a team costs milliseconds — callers running many passes
-     should reuse one); it too is bypassed under active injection. *)
-  let domains =
-    if Inject.is_active inject then 1
-    else
-      match team with Some t -> Team.shards t | None -> max 1 domains
-  in
-  stats.domains_used <- domains;
   stats.engine_used <- engine_name p.p_engine;
   stats.engine_requested <- engine_name p.p_engine;
   stats.cfg_check_types <- check_types;
@@ -1258,22 +840,11 @@ let run_prepared_cfg ?(config = Config.default) (p : prepared) g =
   let used_plan = ref None in
   Obs.with_sink (Obs.Agg.sink agg) (fun () ->
       (try
-         let runnable = prepare_engine rc p slots in
-         (match runnable with
-         | Planned (plan, _) -> used_plan := Some plan
-         | Scan _ -> ());
-         if domains = 1 then
-           match runnable with
-           | Scan ctxs -> run_scan rc ~max_rewrites ctxs g
-           | Planned (plan, pctxs) -> run_plan rc ~max_rewrites plan pctxs g
-         else
-           match team with
-           | Some team -> run_sharded rc ~team ~max_rewrites runnable g
-           | None ->
-               let team = Team.create ~shards:domains in
-               Fun.protect
-                 ~finally:(fun () -> Team.shutdown team)
-                 (fun () -> run_sharded rc ~team ~max_rewrites runnable g)
+         match prepare_engine rc p slots with
+         | Scan ctxs -> run_scan rc ~max_rewrites ctxs g
+         | Planned (plan, pctxs) ->
+             used_plan := Some plan;
+             run_plan rc ~max_rewrites plan pctxs g
        with Aborted -> ());
       (* The e-graph engine's saturation post-phase: runs after the greedy
          pass (never instead of it) and commits only strict whole-graph
@@ -1328,31 +899,8 @@ let run_prepared_cfg ?(config = Config.default) (p : prepared) g =
        { rewrites = stats.total_rewrites; iterations = stats.iterations });
   stats
 
-(* The labelled entry points survive as thin shims: no call site breaks,
-   new callers pass one [Config.t]. *)
-let run_prepared ?check_types ?fuel ?max_rewrites ?deadline_s
-    ?quarantine_after ?inject ?on_error ?domains ?team p g =
-  run_prepared_cfg
-    ~config:
-      (Config.override ?check_types ?fuel ?max_rewrites ?deadline_s
-         ?quarantine_after ?inject ?on_error ?domains ?team Config.default)
-    p g
-
-let prepare_cfg ?(config = Config.default) program =
-  prepare ?engine:config.Config.engine ~indexed:config.Config.indexed program
-
 let run_cfg ?(config = Config.default) (program : Program.t) g =
   run_prepared_cfg ~config (prepare_cfg ~config program) g
-
-let run ?engine ?indexed ?check_types ?fuel ?max_rewrites ?deadline_s
-    ?quarantine_after ?inject ?on_error ?domains ?team (program : Program.t) g
-    =
-  run_cfg
-    ~config:
-      (Config.override ?engine ?indexed ?check_types ?fuel ?max_rewrites
-         ?deadline_s ?quarantine_after ?inject ?on_error ?domains ?team
-         Config.default)
-    program g
 
 let run_result_cfg ?(config = Config.default) program g =
   let stats =
@@ -1360,30 +908,16 @@ let run_result_cfg ?(config = Config.default) program g =
   in
   match stats.fatal with Some e -> Error (e, stats) | None -> Ok stats
 
-(* [run] with the strict error policy, surfacing the fatal error as a
-   [result] for callers (the CLI) that must report it structurally. *)
-let run_result ?engine ?indexed ?check_types ?fuel ?max_rewrites ?deadline_s
-    ?quarantine_after ?inject ?domains ?team program g =
-  run_result_cfg
-    ~config:
-      (Config.override ?engine ?indexed ?check_types ?fuel ?max_rewrites
-         ?deadline_s ?quarantine_after ?inject ?domains ?team Config.default)
-    program g
-
 let provenance stats = stats.provenance
 
 let match_only_cfg ?(config = Config.default) (program : Program.t) g =
-  let { Config.engine; indexed; fuel; domains; team; _ } = config in
+  let { Config.engine; fuel; _ } = config in
   let stats = fresh_stats program in
   let agg = Obs.Agg.create () in
   let t_start = now () in
   stats.iterations <- 1;
-  let e = resolve_engine engine indexed in
-  let domains =
-    match team with Some t -> Team.shards t | None -> max 1 domains
-  in
+  let e = resolve_engine engine in
   stats.engine_used <- engine_name e;
-  stats.domains_used <- domains;
   stats.engine_requested <- engine_name e;
   stats.cfg_check_types <- true;
   stats.cfg_fuel <- fuel;
@@ -1405,85 +939,27 @@ let match_only_cfg ?(config = Config.default) (program : Program.t) g =
       program stats
   in
   Obs.with_sink (Obs.Agg.sink agg) (fun () ->
-      if domains = 1 then
-        let view = Term_view.create g in
-        match e with
-        | Plan | Egraph ->
-            (* matching is phase-free: the e-graph engine matches exactly
-               as Plan does *)
-            let plan = compile_plan program in
-            used_plan := Some plan;
-            let pctxs = plan_contexts plan program slots in
-            List.iter
-              (fun node ->
-                ignore
-                  (plan_match_at rc ~plan ~pctxs view node
-                     ~on_match:(fun _ _ -> None)))
-              (Graph.live_nodes g)
-        | (Naive | Index) as e ->
-            let ctxs = contexts ~indexed:(e = Index) program slots in
-            List.iter
-              (fun node ->
-                stats.nodes_visited <- stats.nodes_visited + 1;
-                List.iter
-                  (fun c -> ignore (try_match rc view c node))
-                  ctxs)
-              (Graph.live_nodes g)
-      else begin
-        (* Sharded matching without firing: one round over all live
-           nodes. The sequential match_only has no short-circuit — every
-           entry is matched at every node — so the parallel split does
-           identical work and yields identical per-pattern totals. *)
-        let tripped =
-          (* quarantine_after is max_int here: no breaker ever trips *)
-          Array.make (max (List.length program.Program.entries) 1) false
-        in
-        let specs_at =
-          match e with
-          | Plan | Egraph ->
-              let plan = compile_plan program in
-              used_plan := Some plan;
-              let pctxs = Array.of_list (plan_contexts plan program slots) in
-              fun view ~walk node ->
-                spec_plan_node ~fuel ~tripped ~walk ~plan ~pctxs view node
-          | (Naive | Index) as e ->
-              let ectxs =
-                Array.of_list (contexts ~indexed:(e = Index) program slots)
-              in
-              fun view ~walk node ->
-                ignore walk;
-                spec_scan_node ~fuel ~tripped ~ectxs view node
-        in
-        let nodes = Array.of_list (Graph.live_nodes g) in
-        let total = Array.length nodes in
-        let bounds = shard_bounds ~shards:domains 0 total in
-        let views = Array.init domains (fun _ -> Term_view.create g) in
-        Obs.emit (Obs.Shard_dispatch { domains; candidates = total });
-        let round team =
-          Team.run team (fun i ->
-              let lo, hi = bounds.(i) in
-              shard_slice ~shard:i (specs_at views.(i)) nodes lo hi)
-        in
-        let reports =
-          match team with
-          | Some team -> round team
-          | None ->
-              let team = Team.create ~shards:domains in
-              Fun.protect
-                ~finally:(fun () -> Team.shutdown team)
-                (fun () -> round team)
-        in
-        Array.iteri
-          (fun i (r : shard_report) ->
-            if i > 0 then Obs.replay r.sr_events;
-            stats.plan_time <- stats.plan_time +. r.sr_walk;
-            let lo, hi = bounds.(i) in
-            Obs.emit ~dur:r.sr_elapsed
-              (Obs.Shard_matched
-                 { domain = i; nodes = hi - lo; witnesses = spec_witnesses r }))
-          reports;
-        stats.nodes_visited <- total
-      end);
+      let view = Term_view.create g in
+      match e with
+      | Plan | Egraph ->
+          (* matching is phase-free: the e-graph engine matches exactly
+             as Plan does *)
+          let plan = compile_plan program in
+          used_plan := Some plan;
+          let pctxs = plan_contexts plan program slots in
+          List.iter
+            (fun node ->
+              ignore
+                (plan_match_at rc ~plan ~pctxs view node
+                   ~on_match:(fun _ _ -> None)))
+            (Graph.live_nodes g)
+      | (Naive | Index) as e ->
+          let ctxs = contexts ~prefilter:(e = Index) program slots in
+          List.iter
+            (fun node ->
+              stats.nodes_visited <- stats.nodes_visited + 1;
+              List.iter (fun c -> ignore (try_match rc view c node)) ctxs)
+            (Graph.live_nodes g));
   stats.reached_fixpoint <- true;
   stats.wall_time <- now () -. t_start;
   finalize program agg stats;
@@ -1497,12 +973,6 @@ let match_only_cfg ?(config = Config.default) (program : Program.t) g =
         (Plan.pruned plan)
   | None -> ());
   stats
-
-let match_only ?engine ?indexed ?fuel ?domains ?team (program : Program.t) g =
-  match_only_cfg
-    ~config:
-      (Config.override ?engine ?indexed ?fuel ?domains ?team Config.default)
-    program g
 
 let matches_of ?(fuel = 200_000) (program : Program.t) g =
   let view = Term_view.create g in
@@ -1528,12 +998,9 @@ let matches_of ?(fuel = 200_000) (program : Program.t) g =
 let pp_stats ppf s =
   Format.fprintf ppf
     "@[<v>pass: %d iteration(s), %d nodes visited, %d rewrites, %d collected, \
-     %.3f s (%s engine%s)%s%s%s@,"
+     %.3f s (%s engine)%s%s%s@,"
     s.iterations s.nodes_visited s.total_rewrites s.collected s.wall_time
     s.engine_used
-    (if s.domains_used > 1 then
-       Printf.sprintf ", %d domains" s.domains_used
-     else "")
     (if s.plan_time > 0. then
        Printf.sprintf " (%.4f s in the shared plan)" s.plan_time
      else "")
@@ -1592,15 +1059,13 @@ let stats_json (s : stats) =
   Buffer.add_char buf '{';
   fld "engine" (str s.engine_used);
   sep ();
-  fld "domains" (string_of_int s.domains_used);
-  sep ();
   (* the run's configuration, so archived stats (BENCH_*.json, serve
      responses) are self-describing: what was asked for vs what ran *)
   Buffer.add_string buf
     (Printf.sprintf
-       "\"config\":{\"engine_requested\":%s,\"engine_used\":%s,\"fuel\":%d,\"max_rewrites\":%d,\"check_types\":%b,\"domains\":%d}"
+       "\"config\":{\"engine_requested\":%s,\"engine_used\":%s,\"fuel\":%d,\"max_rewrites\":%d,\"check_types\":%b}"
        (str s.engine_requested) (str s.engine_used) s.cfg_fuel
-       s.cfg_max_rewrites s.cfg_check_types s.domains_used);
+       s.cfg_max_rewrites s.cfg_check_types);
   sep ();
   fld "iterations" (string_of_int s.iterations);
   sep ();

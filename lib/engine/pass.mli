@@ -6,9 +6,10 @@
     run in order and the first whose assertions pass fires, destructively
     replacing the root of the match; this repeats until no matches remain.
 
-    [run] implements exactly that, with instrumentation: per-pattern match
-    attempts, matches, rewrites, and matcher wall-clock time — the data
-    behind figures 12 and 13 — and a choice of four {e matching engines}:
+    {!run_cfg} implements exactly that, with instrumentation: per-pattern
+    match attempts, matches, rewrites, and matcher wall-clock time — the
+    data behind figures 12 and 13 — and a choice of four {e matching
+    engines}:
 
     - {!Naive}: the paper's implementation — every pattern is tried at
       every node with the backtracking matcher.
@@ -36,7 +37,7 @@
       improvement — so the result is never costlier than {!Plan}'s on the
       same graph, by construction. The phase recovers rewrites the greedy
       order destroyed (the paper's phase-ordering weakness). Counters
-      land in the [sat_*] stats fields; [?deadline_s] bounds the phase
+      land in the [sat_*] stats fields; [deadline_s] bounds the phase
       like the rest of the pass.
 
     {2 Resilience}
@@ -53,18 +54,18 @@
     - {e structured errors} — a rule that fails to instantiate or whose
       guard raises becomes an {!error} value in [stats.errors] (policy
       [`Quarantine], the default) or the pass's [stats.fatal] (policy
-      [`Fail]), never an exception escaping [run];
+      [`Fail]), never an exception escaping the pass;
     - {e quarantine} — a pattern that keeps striking (fuel exhaustion,
       rule errors, cycle rejections) trips its circuit breaker after
-      [?quarantine_after] strikes and is skipped for the rest of the pass;
+      [quarantine_after] strikes and is skipped for the rest of the pass;
     - {e degradation ladder} — if the requested engine cannot be prepared
       (plan compilation fails, or no rule converts to a saturation
       rewrite), the pass degrades Egraph → Plan → Index → Naive with a
       warn event instead of dying;
-    - {e deadline} — [?deadline_s] bounds the pass's wall-clock time;
+    - {e deadline} — [deadline_s] bounds the pass's wall-clock time;
       on expiry the pass stops where it is and returns partial stats with
       [reached_fixpoint = false] and [deadline_hit = true];
-    - {e fault injection} — [?inject] threads a seeded
+    - {e fault injection} — [inject] threads a seeded
       {!Pypm_resilience.Resilience.Inject.schedule} through every failure
       point, for the fuzzer's crash-safety properties and for replaying
       fault schedules from the CLI. *)
@@ -76,48 +77,26 @@ type engine = Naive | Index | Plan | Egraph
 
 val engine_name : engine -> string
 
-(** One value for the knobs the [run] family used to take as eleven
-    loose optional arguments. Build with a record update over
-    {!Config.default} and hand the same value to [prepare_cfg] /
-    [run_cfg] / [run_prepared_cfg] / [match_only_cfg]; the labelled
-    entry points below remain as thin shims over these. *)
+(** The pass configuration: one record for every knob of the pass.
+    Build it with a record update over {!Config.default} and hand
+    the same value to {!prepare_cfg}, {!run_cfg}, {!run_prepared_cfg} and
+    {!match_only_cfg}. *)
 module Config : sig
   type t = {
-    engine : engine option;
-        (** [None]: fall back to [indexed]'s Naive/Index choice, exactly
-            like omitting [?engine] *)
-    indexed : bool;
+    engine : engine option;  (** matching engine; [None] runs {!Naive} *)
     check_types : bool;
+        (** refuse a rule whose replacement changes the matched root's
+            tensor type (default true) *)
     fuel : int;  (** per-match visit budget (default 200_000) *)
     max_rewrites : int;  (** divergence backstop (default 10_000) *)
     deadline_s : float option;  (** anytime wall-clock budget *)
     quarantine_after : int;  (** breaker strikes (default 5) *)
     inject : Pypm_resilience.Resilience.Inject.schedule;
-    on_error : [ `Quarantine | `Fail ];
-    domains : int;  (** matching-phase shards (default 1) *)
-    team : Pypm_parallel.Team.t option;
-        (** borrowed team; its shard count overrides [domains] *)
+        (** fault-injection schedule (default none) *)
+    on_error : [ `Quarantine | `Fail ];  (** rule-error policy *)
   }
 
-  (** The defaults every labelled entry point has always used. *)
   val default : t
-
-  (** [override ?engine ... base] is [base] with the given arguments
-      replaced — the bridge the labelled shims use. *)
-  val override :
-    ?engine:engine ->
-    ?indexed:bool ->
-    ?check_types:bool ->
-    ?fuel:int ->
-    ?max_rewrites:int ->
-    ?deadline_s:float ->
-    ?quarantine_after:int ->
-    ?inject:Pypm_resilience.Resilience.Inject.schedule ->
-    ?on_error:[ `Quarantine | `Fail ] ->
-    ?domains:int ->
-    ?team:Pypm_parallel.Team.t ->
-    t ->
-    t
 end
 
 (** Structured pass errors. A rule that misbehaves produces one of these
@@ -180,7 +159,7 @@ type stats = {
   mutable total_rewrites : int;
   mutable type_rejections : int;
       (** rules whose replacement would have changed the matched node's
-          tensor type, rejected under [~check_types:true] *)
+          tensor type, rejected under [check_types = true] *)
   mutable fuel_exhausted : int;
       (** total fuel-exhausted attempts across all patterns; a nonzero
           value means the "fixpoint" may be short of the true one *)
@@ -197,15 +176,12 @@ type stats = {
       (** seconds inside the shared plan's trie walk (0 unless [Plan]) *)
   mutable reached_fixpoint : bool;
   mutable deadline_hit : bool;
-      (** the pass stopped at [?deadline_s]; implies
+      (** the pass stopped at [deadline_s]; implies
           [reached_fixpoint = false] unless the fixpoint was reached
           first *)
   mutable engine_used : string;
       (** the engine that actually ran — differs from the requested one
           when the degradation ladder stepped down *)
-  mutable domains_used : int;
-      (** domains the matching phase ran on (1 = the sequential path; an
-          active fault-injection schedule forces 1) *)
   mutable engine_requested : string;
       (** the engine the configuration asked for, before any degradation
           — compare with [engine_used] *)
@@ -261,80 +237,27 @@ val provenance : stats -> Pypm_obs.Obs.Provenance.step list
     [Logs.Src.set_level Pass.log_src (Some Logs.Debug)]. *)
 val log_src : Logs.src
 
-(** [run ?engine ?indexed ?fuel ?max_rewrites program graph] rewrites
-    [graph] to fixpoint (or until [max_rewrites], default 10_000, as a
-    divergence backstop). [fuel] bounds each individual match (default
-    200_000 visits). [engine] selects the matching engine (see above);
-    when omitted, [indexed] (default false) selects between [Naive] and
-    [Index] for compatibility with older callers. [check_types] (default
-    true) refuses to fire a rule whose replacement node's tensor type
-    differs from the matched root's — a rewrite must preserve what the
-    rest of the graph observes; rejected firings are rolled back, counted
-    in [type_rejections], and the next rule is tried. Replacements typed
-    [None] (opaque) are always allowed.
-
-    Resilience knobs:
-
-    - [deadline_s]: wall-clock budget in seconds; on expiry the pass
-      returns partial stats with [deadline_hit = true].
-    - [quarantine_after] (default 5): strikes before a pattern's circuit
-      breaker trips and the pattern is skipped for the rest of the pass.
-    - [inject] (default {!Pypm_resilience.Resilience.Inject.none}): the
-      fault-injection schedule threaded through the pass's failure
-      points.
-    - [on_error] (default [`Quarantine]): what a structured rule error
-      does — [`Quarantine] records it in [stats.errors], strikes the
-      pattern's breaker and continues; [`Fail] sets [stats.fatal] and
-      stops the pass at the first error.
-
-    [run] does not raise on rule or engine failures; every failure mode
-    is a stats field.
-
-    {2 Intra-pass parallelism}
-
-    [domains] (default 1) shards the matching phase of every iteration
-    across that many OCaml domains (see [doc/parallel.md]). Workers match
-    their contiguous slice of the candidate worklist read-only against
-    per-domain term views; a deterministic arbiter on the calling domain
-    replays the speculative outcomes in node order — skipping quarantined
-    entries at consumption time, striking on fuel exhaustion, firing the
-    first surviving witness — so firing order, rewrite provenance and the
-    final graph are {e byte-identical} to the sequential pass (the
-    [parallel-pass-agreement] fuzz property checks this). Speculative
-    per-pattern counters (attempts/matches past the fire point) may
-    exceed the sequential ones, and [plan_time] aggregates walk time
-    across domains (CPU seconds, not wall). An active [?inject] schedule
-    forces [domains = 1]: its fault stream is consumed in query order.
-
-    [team] lends an existing {!Pypm_parallel.Team} instead of spawning
-    one per call; its shard count overrides [domains]. Spawning and
-    joining domains costs milliseconds — callers running many passes
-    (benchmarks, serve workers) should create one team and reuse it. The
-    pass never shuts a borrowed team down. *)
-
 (** {1 Prepared engines}
 
     A {!prepared} value is the run-independent half of an engine: the
     program, the engine choice, and — for {!Plan} — the compiled shared
     trie (or its compilation failure, replayed to the degradation ladder
-    on every run). Preparing once and calling {!run_prepared} many times
-    amortizes plan compilation across runs; the serve worker pool holds
-    one prepared engine per (program, engine) pair so the trie is built
-    once per worker, not once per request.
+    on every run). Preparing once and calling {!run_prepared_cfg} many
+    times amortizes plan compilation across runs; the serve worker pool
+    holds one prepared engine per (program, engine) pair so the trie is
+    built once per worker, not once per request.
 
     A [prepared] value is immutable and safe to reuse across sequential
     runs on the same domain. Breakers, stats and fault schedules are
-    created fresh inside every {!run_prepared} call. *)
+    created fresh inside every {!run_prepared_cfg} call. *)
 
 type prepared
 
-(** [prepare ?engine ?indexed program] resolves the engine exactly like
-    {!run} and compiles the plan eagerly when the engine is {!Plan}. A
-    plan-compilation failure is {e not} raised here; it is stored and
-    drives the degradation ladder on each subsequent run. *)
-val prepare : ?engine:engine -> ?indexed:bool -> Program.t -> prepared
-
-(** [prepare] driven by a configuration's [engine]/[indexed] fields. *)
+(** [prepare_cfg ?config program] resolves [config.engine] and compiles
+    the plan eagerly when the engine is {!Plan} or {!Egraph}; the other
+    fields are ignored. A plan-compilation failure is {e not} raised
+    here; it is stored and drives the degradation ladder on each
+    subsequent run. *)
 val prepare_cfg : ?config:Config.t -> Program.t -> prepared
 
 (** The engine that was requested at prepare time (the ladder may still
@@ -343,89 +266,57 @@ val prepared_engine : prepared -> engine
 
 val prepared_program : prepared -> Program.t
 
-(** The configuration-first entry points. [?config] defaults to
-    {!Config.default}; a [Config.t] with [engine]/[indexed] set is only
-    consulted by [run_cfg]/[prepare_cfg] ([run_prepared_cfg] runs whatever
-    engine [p] was prepared for). *)
-val run_prepared_cfg : ?config:Config.t -> prepared -> Graph.t -> stats
+(** {1 Running the pass}
 
+    [?config] defaults to {!Config.default} in every entry point. *)
+
+(** [run_cfg ?config program graph] rewrites [graph] to fixpoint, or until
+    [config.max_rewrites] rewrites as a divergence backstop. [fuel] bounds
+    each individual match. [engine] selects the matching engine (see
+    above). [check_types] refuses to fire a rule whose replacement node's
+    tensor type differs from the matched root's — a rewrite must preserve
+    what the rest of the graph observes; rejected firings are rolled
+    back, counted in [type_rejections], and the next rule is tried.
+    Replacements typed [None] (opaque) are always allowed.
+
+    Resilience fields:
+
+    - [deadline_s]: wall-clock budget in seconds; on expiry the pass
+      returns partial stats with [deadline_hit = true].
+    - [quarantine_after]: strikes before a pattern's circuit breaker
+      trips and the pattern is skipped for the rest of the pass.
+    - [inject]: the fault-injection schedule threaded through the pass's
+      failure points.
+    - [on_error]: what a structured rule error does — [`Quarantine]
+      records it in [stats.errors], strikes the pattern's breaker and
+      continues; [`Fail] sets [stats.fatal] and stops the pass at the
+      first error.
+
+    [run_cfg] does not raise on rule or engine failures; every failure
+    mode is a stats field. *)
 val run_cfg : ?config:Config.t -> Program.t -> Graph.t -> stats
 
+(** [run_prepared_cfg ?config p g] is {!run_cfg} with the
+    engine-preparation work (plan compilation) reused from [p]; it runs
+    whatever engine [p] was prepared for, so [config.engine] is not
+    consulted. Per-run state — circuit breakers, stats records, the
+    fault-injection schedule — is fresh on every call, and the [inject]
+    [Plan_compile] point is still consulted per run. *)
+val run_prepared_cfg : ?config:Config.t -> prepared -> Graph.t -> stats
+
+(** [run_result_cfg] is {!run_cfg} under the [`Fail] policy, with the
+    fatal error (if any) surfaced as the [Error] case alongside the
+    partial stats — the strict-mode entry point for callers that must
+    report the first failure structurally (the CLI's [--strict]). *)
 val run_result_cfg :
   ?config:Config.t -> Program.t -> Graph.t -> (stats, error * stats) result
 
+(** [match_only_cfg ?config program graph] runs the matching half only:
+    counts matches of every pattern at every node without firing any
+    rule, using [config.engine] and [config.fuel]. Returns the stats
+    (rewrites stay 0). This is the figure 12/13 measurement: the cost of
+    running the matcher over a model. *)
 val match_only_cfg : ?config:Config.t -> Program.t -> Graph.t -> stats
-
-(** [run_prepared ... p g] is {!run} with the engine-preparation work
-    (plan compilation) reused from [p]. Per-run state — circuit breakers,
-    stats records, the fault-injection schedule — is fresh on every call,
-    and the [?inject] [Plan_compile] point is still consulted per run. *)
-val run_prepared :
-  ?check_types:bool ->
-  ?fuel:int ->
-  ?max_rewrites:int ->
-  ?deadline_s:float ->
-  ?quarantine_after:int ->
-  ?inject:Pypm_resilience.Resilience.Inject.schedule ->
-  ?on_error:[ `Quarantine | `Fail ] ->
-  ?domains:int ->
-  ?team:Pypm_parallel.Team.t ->
-  prepared ->
-  Graph.t ->
-  stats
-
-val run :
-  ?engine:engine ->
-  ?indexed:bool ->
-  ?check_types:bool ->
-  ?fuel:int ->
-  ?max_rewrites:int ->
-  ?deadline_s:float ->
-  ?quarantine_after:int ->
-  ?inject:Pypm_resilience.Resilience.Inject.schedule ->
-  ?on_error:[ `Quarantine | `Fail ] ->
-  ?domains:int ->
-  ?team:Pypm_parallel.Team.t ->
-  Program.t ->
-  Graph.t ->
-  stats
-
-(** [run_result] is {!run} under the [`Fail] policy, with the fatal error
-    (if any) surfaced as the [Error] case alongside the partial stats —
-    the strict-mode entry point for callers that must report the first
-    failure structurally (the CLI's [--strict]). *)
-val run_result :
-  ?engine:engine ->
-  ?indexed:bool ->
-  ?check_types:bool ->
-  ?fuel:int ->
-  ?max_rewrites:int ->
-  ?deadline_s:float ->
-  ?quarantine_after:int ->
-  ?inject:Pypm_resilience.Resilience.Inject.schedule ->
-  ?domains:int ->
-  ?team:Pypm_parallel.Team.t ->
-  Program.t ->
-  Graph.t ->
-  (stats, error * stats) result
-
-(** [match_only ?engine ?indexed ?fuel ?domains program graph] runs the
-    matching half only: counts matches of every pattern at every node
-    without firing any rule. Returns the stats (rewrites stay 0). This is
-    the figure 12/13 measurement: the cost of running the matcher over a
-    model. [domains] shards the node list across that many domains in one
-    round; since [match_only] has no firing short-circuit, the parallel
-    split does identical matching work and produces identical per-pattern
-    totals. *)
-val match_only :
-  ?engine:engine ->
-  ?indexed:bool ->
-  ?fuel:int ->
-  ?domains:int ->
-  ?team:Pypm_parallel.Team.t ->
-  Program.t ->
-  Graph.t ->
-  stats
 
 (** [matches_of ?fuel program graph] lists, per pattern, the node ids whose
     subtree matched, with the witness substitutions. No rewriting. *)

@@ -227,13 +227,16 @@ let fingerprint g =
     (Graph.outputs g);
   Buffer.contents buf
 
+let with_engine engine =
+  { Pass.Config.default with Pass.Config.engine = Some engine }
+
 let engine_names = [ (Pass.Naive, "naive"); (Pass.Index, "index"); (Pass.Plan, "plan") ]
 
 let engines_agree recipe =
   (* Matching half: identical per-pattern match counts. *)
   let match_counts engine =
     let _env, g, prog = Gen.build recipe in
-    let stats = Pass.match_only ~engine prog g in
+    let stats = Pass.match_only_cfg ~config:(with_engine engine) prog g in
     if stats.Pass.fuel_exhausted > 0 then None
     else
       Some
@@ -259,7 +262,7 @@ let engines_agree recipe =
            graphs, which must also validate. *)
         let full engine =
           let _env, g, prog = Gen.build recipe in
-          let stats = Pass.run ~engine prog g in
+          let stats = Pass.run_cfg ~config:(with_engine engine) prog g in
           if stats.Pass.fuel_exhausted > 0 then None
           else Some (stats.Pass.total_rewrites, fingerprint g, Graph.validate g)
         in
@@ -292,64 +295,7 @@ let engines_agree recipe =
                   else Pass)
           | _ -> Discard)
 
-(* The tentpole determinism claim, adversarially: for every engine and
-   domain count, the sharded pass must be indistinguishable from the
-   sequential one — same final fingerprint, same rewrite count, same
-   provenance step sequence. Fuel exhaustion discards the case (the
-   sequential scanner strikes at scan time, the arbiter at replay time,
-   so a fuel-starved run may quarantine at different points). *)
-let parallel_pass_agreement recipe =
-  let provenance_digest (stats : Pass.stats) =
-    List.map
-      (fun (p : Pypm_obs.Obs.Provenance.step) ->
-        ( p.Pypm_obs.Obs.Provenance.seq,
-          p.Pypm_obs.Obs.Provenance.pattern,
-          p.Pypm_obs.Obs.Provenance.rule,
-          p.Pypm_obs.Obs.Provenance.matched_root,
-          p.Pypm_obs.Obs.Provenance.replacement_root ))
-      (Pass.provenance stats)
-  in
-  let full engine domains =
-    let _env, g, prog = Gen.build recipe in
-    let stats = Pass.run ~engine ~domains prog g in
-    if stats.Pass.fuel_exhausted > 0 then None
-    else
-      Some
-        (stats.Pass.total_rewrites, fingerprint g, provenance_digest stats)
-  in
-  let rec check_engines = function
-    | [] -> Pass
-    | (engine, ename) :: rest -> (
-        match full engine 1 with
-        | None -> Discard
-        | Some ((rw1, fp1, _prov1) as seq) ->
-            let rec check_domains = function
-              | [] -> check_engines rest
-              | k :: ks -> (
-                  match full engine k with
-                  | None -> Discard
-                  | Some ((rwk, fpk, provk) as par) ->
-                      if par = seq then check_domains ks
-                      else if rwk <> rw1 then
-                        Fail
-                          (Printf.sprintf
-                             "%s: rewrites differ at domains=%d: %d vs %d"
-                             ename k rw1 rwk)
-                      else if fpk <> fp1 then
-                        Fail
-                          (Printf.sprintf
-                             "%s: final graphs differ at domains=%d" ename k)
-                      else
-                        Fail
-                          (Printf.sprintf
-                             "%s: provenance differs at domains=%d (%d steps)"
-                             ename k (List.length provk)))
-            in
-            check_domains [ 2; 4 ])
-  in
-  check_engines engine_names
-
-(* The egraph engine's contract: [~engine:Egraph] is the plan engine plus
+(* The egraph engine's contract: [Egraph] is the plan engine plus
    a cost-guided equality-saturation post-phase whose splices come only
    from the program's own rules (rewrite-reachable by construction) and
    commit only on strict whole-graph cost improvement. So on the same
@@ -362,7 +308,7 @@ let egraph_pass_agreement recipe =
   let device = Cost.a6000 in
   let run engine =
     let _env, g, prog = Gen.build recipe in
-    let stats = Pass.run ~engine prog g in
+    let stats = Pass.run_cfg ~config:(with_engine engine) prog g in
     if stats.Pass.fuel_exhausted > 0 then None else Some (g, stats)
   in
   match (run Pass.Plan, run Pass.Egraph) with
@@ -393,7 +339,7 @@ let graph_validate recipe =
   | _ :: _ as errs ->
       Fail ("generated graph invalid: " ^ String.concat "; " errs)
   | [] -> (
-      let stats = Pass.run ~engine:Pass.Plan prog g in
+      let stats = Pass.run_cfg ~config:(with_engine Pass.Plan) prog g in
       match Graph.validate g with
       | [] -> if stats.Pass.fuel_exhausted > 0 then Discard else Pass
       | errs ->
@@ -421,7 +367,12 @@ let crash_safety (r : Gen.graph_recipe) =
             let inject =
               Inject.seeded ~seed:((r.Gen.gr_seed * 7919) + 17) ~rate ()
             in
-            let _stats = Pass.run ~engine ~inject ~quarantine_after:3 prog g in
+            let _stats =
+              Pass.run_cfg
+                ~config:
+                  { (with_engine engine) with inject; quarantine_after = 3 }
+                prog g
+            in
             match Graph.validate g with
             | [] -> None
             | errs ->
@@ -444,7 +395,9 @@ let rollback_exact (r : Gen.graph_recipe) =
     Inject.seeded ~seed:r.Gen.gr_seed ~rate:1.0
       ~points:[ Inject.Instantiate_fail ] ()
   in
-  let stats = Pass.run ~engine:Pass.Naive ~inject prog g in
+  let stats =
+    Pass.run_cfg ~config:{ (with_engine Pass.Naive) with inject } prog g
+  in
   if stats.Pass.total_rewrites <> 0 then
     Fail
       (Printf.sprintf
@@ -826,14 +779,6 @@ let props : prop list =
         doc = "naive/index/plan engines: same matches, rewrites and graphs";
         cost = 100;
         case = recipe_case engines_agree;
-      };
-    Prop
-      {
-        name = "parallel-pass-agreement";
-        doc = "sharded pass (domains 2/4) = sequential pass: same \
-               fingerprint, rewrites and provenance, every engine";
-        cost = 150;
-        case = recipe_case parallel_pass_agreement;
       };
     Prop
       {

@@ -15,15 +15,11 @@
       identical per-pattern match counts, perform the same number of
       rewrites and produce isomorphic graphs on random well-typed
       transformer-style workloads — and the rewritten graph validates;
-    - [parallel_pass_agreement]: for every engine, [Pass.run ~domains:k]
-      (k in 2, 4) produces the same final-graph fingerprint, rewrite
-      count and provenance step sequence as the sequential pass — the
-      determinism contract of the sharded matching phase;
-    - [egraph_pass_agreement]: [Pass.run ~engine:Egraph] leaves a valid
-      graph that is never costlier (under the {!Pypm_kernels.Cost} model)
-      than the plan engine's result on the same recipe; when its
-      saturation post-phase splices nothing, the graph is isomorphic to
-      the plan engine's;
+    - [egraph_pass_agreement]: the {!Pypm_engine.Pass.Egraph} engine
+      leaves a valid graph that is never costlier (under the
+      {!Pypm_kernels.Cost} model) than the plan engine's result on the
+      same recipe; when its saturation post-phase splices nothing, the
+      graph is isomorphic to the plan engine's;
     - [crash_safety]: under any seeded fault-injection schedule
       ({!Pypm_resilience.Resilience.Inject}) the pass neither raises nor
       leaves an invalid graph, on every engine;

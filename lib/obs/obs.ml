@@ -29,9 +29,6 @@ type kind =
   | Request_shed of { id : int }
   | Worker_restarted of { worker : int; restarts : int }
   | Job_poisoned of { id : int }
-  | Shard_dispatch of { domains : int; candidates : int }
-  | Shard_matched of { domain : int; nodes : int; witnesses : int }
-  | Shard_merged of { fired : int; replayed : int; discarded : int }
   | Sat_iteration of { n : int; classes : int; nodes : int }
   | Sat_union of { rule : string }
   | Sat_extract of {
@@ -151,20 +148,6 @@ let emit ?(node = -1) ?(dur = 0.) kind =
   match d.sinks with
   | [] -> ()
   | ss -> List.iter (fun (_, s) -> s e) ss
-
-(* Deliver events that were stamped on another domain (a shard worker's
-   collector) into this domain's ring and sinks, preserving their
-   original timestamps. The sharded pass uses this so one pass still
-   yields one coherent event stream on the calling domain. *)
-let replay events =
-  let d = st () in
-  List.iter
-    (fun e ->
-      ring_push d e;
-      match d.sinks with
-      | [] -> ()
-      | ss -> List.iter (fun (_, s) -> s e) ss)
-    events
 
 (* ------------------------------------------------------------------ *)
 (* Collector                                                           *)
@@ -287,9 +270,8 @@ module Agg = struct
     | Pass_begin _ | Pass_end _ | Quarantined _ | Engine_degraded _
     | Fault_injected _ | Deadline_hit _ | Cache_hit _ | Cache_miss _
     | Cache_evicted _ | Request_served _ | Request_shed _
-    | Worker_restarted _ | Job_poisoned _
-    | Shard_dispatch _ | Shard_matched _ | Shard_merged _ | Sat_iteration _
-    | Sat_union _ | Sat_extract _ ->
+    | Worker_restarted _ | Job_poisoned _ | Sat_iteration _ | Sat_union _
+    | Sat_extract _ ->
         ()
 
   let find t name = Hashtbl.find_opt t.table name
@@ -467,26 +449,6 @@ let describe = function
         "serve",
         [ ("worker", `I worker); ("restarts", `I restarts) ] )
   | Job_poisoned { id } -> ("job-poisoned", "serve", [ ("id", `I id) ])
-  | Shard_dispatch { domains; candidates } ->
-      ( "shard-dispatch",
-        "parallel",
-        [ ("domains", `I domains); ("candidates", `I candidates) ] )
-  | Shard_matched { domain; nodes; witnesses } ->
-      ( "shard-matched",
-        "parallel",
-        [
-          ("domain", `I domain);
-          ("nodes", `I nodes);
-          ("witnesses", `I witnesses);
-        ] )
-  | Shard_merged { fired; replayed; discarded } ->
-      ( "shard-merged",
-        "parallel",
-        [
-          ("fired", `I fired);
-          ("replayed", `I replayed);
-          ("discarded", `I discarded);
-        ] )
   | Sat_iteration { n; classes; nodes } ->
       ( "sat-iteration",
         "egraph",

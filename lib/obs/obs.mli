@@ -86,16 +86,6 @@ type kind =
   | Job_poisoned of { id : int }
       (** a request crashed two workers in a row and was quarantined
           with a structured [Worker_crashed] response instead of retried *)
-  | Shard_dispatch of { domains : int; candidates : int }
-      (** the sharded pass split [candidates] worklist nodes across
-          [domains] domains for one matching round *)
-  | Shard_matched of { domain : int; nodes : int; witnesses : int }
-      (** one shard finished its read-only matching slice; [dur] is the
-          shard's wall time inside the round *)
-  | Shard_merged of { fired : int; replayed : int; discarded : int }
-      (** the arbiter consumed a round: [fired] rules applied, [replayed]
-          witnesses inspected, [discarded] speculative witnesses dropped
-          (beyond the first fire or quarantined at consumption) *)
   | Sat_iteration of { n : int; classes : int; nodes : int }
       (** an equality-saturation round is starting: 1-based round number
           and the e-graph's class/node counts at that point *)
@@ -121,11 +111,6 @@ type event = {
 (** {1 Emission} *)
 
 val emit : ?node:int -> ?dur:float -> kind -> unit
-
-(** [replay events] delivers already-stamped events (captured on another
-    domain, e.g. by a shard worker's {!Collector}) to {e this} domain's
-    ring and sinks, preserving their original timestamps and order. *)
-val replay : event list -> unit
 
 (** The clock events are stamped with; defaults to [Unix.gettimeofday].
     Replaceable for deterministic tests. Use for {e timestamps} only —

@@ -4,10 +4,10 @@
    admission control belongs to the caller, latency to the queue.
 
    Workers are supervised: an exception escaping a job handler is a
-   worker {e crash}. The crashed domain ends (running its teardown), the
-   supervisor joins it and spawns a replacement — with a fresh [setup],
-   so whatever state the crash poisoned is rebuilt — under a restart
-   budget and exponential backoff. The job that was running is retried
+   worker {e crash}. The crashed domain ends, the supervisor joins it and
+   spawns a replacement — with a fresh [setup], so whatever state the
+   crash poisoned is rebuilt — under a restart budget and exponential
+   backoff. The job that was running is retried
    once on another worker; a job that kills two workers is a poison pill
    and is handed to [on_crash] instead of retried forever. *)
 
@@ -31,7 +31,6 @@ type 'job t = {
   bound : int;
   mutable stopping : bool;
   setup : int -> 'job -> unit;
-  teardown : int -> unit;
   on_crash : 'job -> exn -> unit;
   max_restarts : int;
   backoff_s : int -> float;
@@ -77,18 +76,13 @@ let spawn_worker t wid =
   Domain.spawn (fun () ->
       (* [setup] runs on the worker domain so domain-local state (obs
          rings, matcher counters) and the worker's engine context live
-         where the jobs run; [teardown] runs on the same domain after the
-         loop ends — normally or by crash — so worker-held resources (a
-         cached {!Team}) are always released. *)
+         where the jobs run. *)
       match t.setup wid with
-      | handle ->
-          Fun.protect
-            ~finally:(fun () -> try t.teardown wid with _ -> ())
-            (fun () -> worker_loop t wid handle)
+      | handle -> worker_loop t wid handle
       | exception exn -> report_crash t wid None exn)
 
-(* One crash: join the dead domain (so its teardown has finished before
-   any replacement touches shared per-slot state), decide the job's
+(* One crash: join the dead domain (so it has ended before any
+   replacement touches shared per-slot state), decide the job's
    fate, then restart the slot if the budget allows. Runs on the
    supervisor domain. *)
 let handle_crash t wid entry exn =
@@ -162,9 +156,8 @@ let supervisor_loop t =
 
 let default_backoff k = Float.min 0.05 (0.002 *. (2. ** float_of_int k))
 
-let create ?(teardown = fun _ -> ()) ?(on_crash = fun _ _ -> ())
-    ?(max_restarts = 10_000) ?(backoff_s = default_backoff) ~workers
-    ~queue_bound setup =
+let create ?(on_crash = fun _ _ -> ()) ?(max_restarts = 10_000)
+    ?(backoff_s = default_backoff) ~workers ~queue_bound setup =
   if workers <= 0 then invalid_arg "Pool.create: workers must be > 0";
   if queue_bound <= 0 then invalid_arg "Pool.create: queue_bound must be > 0";
   if max_restarts < 0 then
@@ -178,7 +171,6 @@ let create ?(teardown = fun _ -> ()) ?(on_crash = fun _ _ -> ())
       bound = queue_bound;
       stopping = false;
       setup;
-      teardown;
       on_crash;
       max_restarts;
       backoff_s;

@@ -6,13 +6,13 @@
     response rather than silently growing latency.
 
     Workers are supervised. An exception escaping a job handler kills
-    that worker domain (its [teardown] still runs); the supervisor joins
-    the dead domain and spawns a replacement — with a fresh [setup], so
-    poisoned per-worker state is rebuilt — under a restart budget with
-    exponential backoff. The job the worker died on is retried once; a
-    job that kills two workers is a {e poison pill}: it is handed to
-    [on_crash] (the place to answer the client with a structured
-    [Worker_crashed] error) instead of retried forever. Every restart
+    that worker domain; the supervisor joins the dead domain and spawns
+    a replacement — with a fresh [setup], so poisoned per-worker state
+    is rebuilt — under a restart budget with exponential backoff. The
+    job the worker died on is retried once; a job that kills two workers
+    is a {e poison pill}: it is handed to [on_crash] (the place to answer
+    the client with a structured [Worker_crashed] error) instead of
+    retried forever. Every restart
     emits an {!Pypm_obs.Obs.kind.Worker_restarted} event. *)
 
 type 'job t
@@ -21,9 +21,7 @@ type 'job t
     domain calls [setup wid] {e on itself} to build its job handler, so
     per-worker state (the prepared engine, domain-local observability)
     is created where the jobs will run — and rebuilt from scratch when a
-    crashed worker is restarted. [teardown wid] (default: nothing) runs
-    on the worker domain after its loop ends, at {!shutdown} or on a
-    crash; its exceptions are swallowed.
+    crashed worker is restarted.
 
     A handler exception is a {e crash}: the worker dies and is restarted
     (budgeted by [max_restarts], pool-lifetime, default 10000; delayed by
@@ -38,7 +36,6 @@ type 'job t
     Raises [Invalid_argument] on non-positive sizes or a negative
     restart budget. *)
 val create :
-  ?teardown:(int -> unit) ->
   ?on_crash:('job -> exn -> unit) ->
   ?max_restarts:int ->
   ?backoff_s:(int -> float) ->

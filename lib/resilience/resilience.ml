@@ -142,8 +142,6 @@ module Inject = struct
     let bits = Int64.shift_right_logical (mix64 s.state) 11 in
     Int64.to_float bits *. (1. /. 9007199254740992.)
 
-  let is_active s = s.rate > 0. && s.points <> []
-
   let fires s point =
     if s.rate = 0. || not (List.mem point s.points) then false
     else begin

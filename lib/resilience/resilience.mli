@@ -120,12 +120,6 @@ module Inject : sig
       schedule's rate is nonzero. *)
   val fires : schedule -> point -> bool
 
-  (** Whether this schedule can ever fire ([rate > 0] with at least one
-      armed point). The sharded pass checks this: a fault stream is
-      consumed in query order, so an active schedule forces the
-      sequential (single-domain) path to keep replay deterministic. *)
-  val is_active : schedule -> bool
-
   (** Faults fired so far. *)
   val fired : schedule -> int
 

@@ -3,11 +3,12 @@ module Pass = Pypm_engine.Pass
 
 (* v2 added [options.domains] (intra-pass parallelism). v3 added the
    [Health] probe and the self-healing responses ([Deadline_exceeded],
-   [Draining], [Worker_crashed], [Health_report]). Option blocks have no
-   per-field framing and response tags must mean the same thing on both
-   sides, so each addition is a wire break: old peers get a structured
-   "unsupported protocol version" error, not garbage. *)
-let version = 3
+   [Draining], [Worker_crashed], [Health_report]). v4 removed
+   [options.domains] again, with intra-pass parallelism. Option blocks
+   have no per-field framing and response tags must mean the same thing
+   on both sides, so each change is a wire break: old peers get a
+   structured "unsupported protocol version" error, not garbage. *)
+let version = 4
 
 (* Each message payload leads with a magic+version pair so a client
    talking to the wrong service (or the wrong protocol revision) gets a
@@ -29,7 +30,6 @@ type options = {
   fault_seed : int;
   fault_rate : float;
   fault_points : string list;
-  domains : int;  (* matching domains per pass; 1 = sequential *)
 }
 
 let default_options =
@@ -44,7 +44,6 @@ let default_options =
     fault_seed = 0;
     fault_rate = 0.;
     fault_points = [];
-    domains = 1;
   }
 
 let put_options buf (o : options) =
@@ -61,8 +60,7 @@ let put_options buf (o : options) =
   W.put_bool buf o.strict;
   W.put_varint buf o.fault_seed;
   W.put_f64 buf o.fault_rate;
-  W.put_list buf W.put_string o.fault_points;
-  W.put_varint buf o.domains
+  W.put_list buf W.put_string o.fault_points
 
 let get_options c : options =
   let engine = W.get_string c in
@@ -75,7 +73,6 @@ let get_options c : options =
   let fault_seed = W.get_varint c in
   let fault_rate = W.get_f64 c in
   let fault_points = W.get_list c W.get_string in
-  let domains = W.get_varint c in
   {
     engine;
     fuel;
@@ -87,7 +84,6 @@ let get_options c : options =
     fault_seed;
     fault_rate;
     fault_points;
-    domains;
   }
 
 (* The cache key's option component: the encoded option block itself.

@@ -33,11 +33,6 @@ type options = {
   fault_seed : int;  (** fault injection; rate 0 disables *)
   fault_rate : float;
   fault_points : string list;  (** empty = all points armed *)
-  domains : int;
-      (** matching domains per pass ([Pass.run ~domains]); 1 = sequential.
-          Participates in the cache key like every other field — the
-          optimized graph is identical either way, but the stats body
-          records the domain count. Added in protocol v2. *)
 }
 
 val default_options : options

@@ -1,6 +1,5 @@
 module Obs = Pypm_obs.Obs
 module Pool = Pypm_parallel.Pool
-module Team = Pypm_parallel.Team
 module Pass = Pypm_engine.Pass
 module Program = Pypm_engine.Program
 module Codec = Pypm_serialize.Codec
@@ -166,32 +165,13 @@ let server_stats sh : Protocol.server_stats =
 
 (* One per worker domain, built on that domain: the operator environment
    and a cache of prepared engines keyed by (program, engine) — the plan
-   trie is compiled once per worker, not once per request. [team] is the
-   worker's lent-out shard team for [domains > 1] requests, spawned
-   lazily and reused across requests (domain spawn/teardown costs
-   milliseconds — per-request teams would dwarf small passes); only the
-   owning worker domain ever touches it, and the pool's teardown hook
-   shuts it down. When the supervisor restarts a crashed worker, the
-   replacement's [setup] builds a fresh context, so whatever state the
-   crash poisoned is gone. *)
+   trie is compiled once per worker, not once per request. When the
+   supervisor restarts a crashed worker, the replacement's [setup] builds
+   a fresh context, so whatever state the crash poisoned is gone. *)
 type wctx = {
   env : Std_ops.env;
   prepared : (string, Pass.prepared) Hashtbl.t;
-  mutable team : Team.t option;
 }
-
-(* Reuse the cached team when the requested shard count matches;
-   otherwise replace it. Sequential requests bypass the team entirely. *)
-let team_for (wctx : wctx) domains =
-  if domains <= 1 then None
-  else
-    match wctx.team with
-    | Some t when Team.shards t = domains -> Some t
-    | prev ->
-        Option.iter Team.shutdown prev;
-        let t = Team.create ~shards:domains in
-        wctx.team <- Some t;
-        Some t
 
 let engine_of_string = function
   | "naive" -> Some Pass.Naive
@@ -263,7 +243,11 @@ let prepared_for wctx ~program_key ~engine ~(program : Protocol.program_spec)
                      Format.asprintf "%a"
                        Pypm_analysis.Analysis.pp_diagnostic d)
                    errs)));
-      let p = Pass.prepare ~engine prog in
+      let p =
+        Pass.prepare_cfg
+          ~config:{ Pass.Config.default with Pass.Config.engine = Some engine }
+          prog
+      in
       Hashtbl.replace wctx.prepared slot p;
       p
 
@@ -343,9 +327,6 @@ let handle_job sh wctx (j : job) =
           if Inject.fires inject Inject.Worker_crash then
             raise (Inject.Injected_crash "injected worker crash");
           if Inject.fires inject Inject.Serve_stall then Unix.sleepf stall_s;
-          (* clamp: the client chose the count, the server pays for the
-             domains — and each worker may hold its own cached team *)
-          let domains = max 1 (min 64 o.Protocol.domains) in
           (* the option block folded into one pass configuration *)
           let config =
             {
@@ -357,8 +338,6 @@ let handle_job sh wctx (j : job) =
               quarantine_after = o.Protocol.quarantine_after;
               inject;
               on_error = (if o.Protocol.strict then `Fail else `Quarantine);
-              domains;
-              team = team_for wctx domains;
             }
           in
           let stats = Pass.run_prepared_cfg ~config prepared g in
@@ -540,19 +519,8 @@ let run ?(on_ready = fun () -> ()) ?(stop = fun () -> false)
   let uid = Atomic.make 0 in
   let next_uid () = Atomic.fetch_and_add uid 1 in
   let pool =
-    (* [wctxs] is written by [setup] and read by [teardown], both of
-       which run on the owning worker's domain — no cross-domain access
-       (the supervisor joins a crashed domain before its replacement's
-       [setup] runs, so even a restart never overlaps). *)
-    let wctxs = Array.make cfg.workers None in
     Pool.create ~workers:cfg.workers ~queue_bound:cfg.queue_bound
       ~max_restarts:cfg.restart_budget
-      ~teardown:(fun wid ->
-        Option.iter
-          (fun (w : wctx) ->
-            Option.iter Team.shutdown w.team;
-            w.team <- None)
-          wctxs.(wid))
       ~on_crash:(fun (j : job) exn ->
         Log.warn (fun m ->
             m "request %d poisoned two workers: %s" j.jid
@@ -560,11 +528,8 @@ let run ?(on_ready = fun () -> ()) ?(stop = fun () -> false)
         finish sh j
           (Protocol.Worker_crashed
              { id = j.jid; reason = Printexc.to_string exn }))
-      (fun wid ->
-        let wctx =
-          { env = Std_ops.make (); prepared = Hashtbl.create 8; team = None }
-        in
-        wctxs.(wid) <- Some wctx;
+      (fun _wid ->
+        let wctx = { env = Std_ops.make (); prepared = Hashtbl.create 8 } in
         fun job -> handle_job sh wctx job)
   in
   let* () = reclaim_socket cfg.socket_path in

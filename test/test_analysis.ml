@@ -409,19 +409,26 @@ let test_pass_reports_pruning () =
 (* ------------------------------------------------------------------ *)
 
 let test_config_equivalence () =
-  (* the labelled shims and the config record are the same pass *)
+  (* the one-shot [run_cfg] and a [prepare_cfg] + [run_prepared_cfg] pair
+     are the same pass *)
   let build () =
     let env = Std_ops.make () in
     let cfg = Transformer.config "t" ~layers:2 ~hidden:64 ~seq:16 in
     (env, Transformer.build env cfg)
   in
   let env1, g1 = build () in
-  let s1 = Pypm.Pass.run ~engine:Pypm.Pass.Plan (Corpus.both_program env1.Std_ops.sg) g1 in
-  let env2, g2 = build () in
   let config =
-    Pypm.Pass.Config.override ~engine:Pypm.Pass.Plan Pypm.Pass.Config.default
+    {
+      Pypm.Pass.Config.default with
+      Pypm.Pass.Config.engine = Some Pypm.Pass.Plan;
+    }
   in
-  let s2 = Pypm.Pass.run_cfg ~config (Corpus.both_program env2.Std_ops.sg) g2 in
+  let s1 = Pypm.Pass.run_cfg ~config (Corpus.both_program env1.Std_ops.sg) g1 in
+  let env2, g2 = build () in
+  let prepared =
+    Pypm.Pass.prepare_cfg ~config (Corpus.both_program env2.Std_ops.sg)
+  in
+  let s2 = Pypm.Pass.run_prepared_cfg ~config prepared g2 in
   checki "same rewrites" s1.Pypm.Pass.total_rewrites s2.Pypm.Pass.total_rewrites;
   checks "same final graph" (Pypm.Fuzz.fingerprint g1) (Pypm.Fuzz.fingerprint g2)
 
@@ -430,8 +437,11 @@ let test_stats_json_config_block () =
   let cfg = Transformer.config "t" ~layers:1 ~hidden:64 ~seq:16 in
   let g = Transformer.build env cfg in
   let config =
-    Pypm.Pass.Config.override ~engine:Pypm.Pass.Plan ~fuel:12345
-      Pypm.Pass.Config.default
+    {
+      Pypm.Pass.Config.default with
+      Pypm.Pass.Config.engine = Some Pypm.Pass.Plan;
+      fuel = 12345;
+    }
   in
   let stats = Pypm.Pass.run_cfg ~config (Corpus.both_program env.Std_ops.sg) g in
   let json = Pypm.Pass.stats_json stats in

@@ -77,7 +77,7 @@ let test_decoded_program_still_rewrites () =
   in
   let cfg = Transformer.config "t" ~layers:2 ~hidden:64 ~seq:16 in
   let g = Transformer.build env2 cfg in
-  let stats = Pass.run p g in
+  let stats = Pass.run_cfg p g in
   checkb "rewrites fired from the deserialized program" true
     (stats.Pass.total_rewrites >= 4);
   Alcotest.(check int) "fmha nodes" 2 (Graph.count_op g Std_ops.fmha)

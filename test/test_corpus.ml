@@ -12,10 +12,12 @@ let fresh () =
   (e, Graph.create ~sg:e.Std_ops.sg ~infer:e.Std_ops.infer ())
 
 let run_entry env g entry =
-  Pass.run (Program.make ~sg:env.Std_ops.sg [ entry ]) g
+  Pass.run_cfg (Program.make ~sg:env.Std_ops.sg [ entry ]) g
 
 let match_count env g entry =
-  let stats = Pass.match_only (Program.make ~sg:env.Std_ops.sg [ entry ]) g in
+  let stats =
+    Pass.match_only_cfg (Program.make ~sg:env.Std_ops.sg [ entry ]) g
+  in
   (Option.get (Pass.find_pattern_stats stats entry.Program.pname)).Pass.matches
 
 (* ------------------------------------------------------------------ *)
@@ -380,7 +382,7 @@ let test_algebraic_cleanups () =
   let t4 = Graph.add g Std_ops.mul [ t3; Graph.constant g 1.0 ] in
   let t5 = Graph.add g Std_ops.trans [ Graph.add g Std_ops.trans [ t4 ] ] in
   Graph.set_outputs g [ Graph.add g Std_ops.relu [ t5 ] ];
-  let stats = Pass.run (Corpus.cleanup_program e.Std_ops.sg) g in
+  let stats = Pass.run_cfg (Corpus.cleanup_program e.Std_ops.sg) g in
   checkb "several rewrites" true (stats.Pass.total_rewrites >= 5);
   (* everything collapses to relu(x) *)
   checki "two nodes" 2 (Graph.live_count g);
@@ -392,7 +394,7 @@ let test_mul_zero_keeps_type () =
   let m = Graph.add g Std_ops.mul [ x; Graph.constant g 0.0 ] in
   let out = Graph.add g Std_ops.relu [ m ] in
   Graph.set_outputs g [ out ];
-  ignore (Pass.run (Corpus.cleanup_program e.Std_ops.sg) g);
+  ignore (Pass.run_cfg (Corpus.cleanup_program e.Std_ops.sg) g);
   checki "zeros node" 1 (Graph.count_op g Std_ops.zeros_like);
   match (List.hd out.Graph.inputs).Graph.ty with
   | Some ty -> Alcotest.(check string) "type preserved" "f32[4x8]" (Ty.to_string ty)
@@ -418,7 +420,7 @@ let test_type_check_rejects_bad_rule () =
     }
   in
   let prog = Program.make ~sg:e.Std_ops.sg [ bad_entry ] in
-  let stats = Pass.run prog g in
+  let stats = Pass.run_cfg prog g in
   checki "rejected" 0 stats.Pass.total_rewrites;
   checkb "counted" true (stats.Pass.type_rejections >= 1);
   (* without the check the unsound rule fires *)
@@ -427,7 +429,10 @@ let test_type_check_rejects_bad_rule () =
   let m2 = Graph.add g2 Std_ops.mul [ x2; Graph.constant g2 0.0 ] in
   Graph.set_outputs g2 [ m2 ];
   let stats2 =
-    Pass.run ~check_types:false (Program.make ~sg:e2.Std_ops.sg [ bad_entry ]) g2
+    Pass.run_cfg
+      ~config:{ Pass.Config.default with Pass.Config.check_types = false }
+      (Program.make ~sg:e2.Std_ops.sg [ bad_entry ])
+      g2
   in
   checki "fires unchecked" 1 stats2.Pass.total_rewrites
 

@@ -146,7 +146,7 @@ let test_pass_rewrites_to_fixpoint () =
   in
   Graph.set_outputs g [ r ];
   let prog = Program.make ~sg:env.Std_ops.sg [ Corpus.relu_chain ] in
-  let stats = Pass.run prog g in
+  let stats = Pass.run_cfg prog g in
   checkb "fixpoint" true stats.Pass.reached_fixpoint;
   checki "one relu left" 1 (Graph.count_op g Std_ops.relu);
   checkb "at least one rewrite" true (stats.Pass.total_rewrites >= 1);
@@ -161,7 +161,7 @@ let test_pass_first_rule_fires () =
   Graph.set_outputs g [ mm ];
   (* f32 inputs: the f32 rule (first) must fire, not the i8 rule *)
   let prog = Program.make ~sg:env.Std_ops.sg [ Corpus.mmxyt ] in
-  let stats = Pass.run prog g in
+  let stats = Pass.run_cfg prog g in
   checki "one rewrite" 1 stats.Pass.total_rewrites;
   checki "f32 kernel" 1 (Graph.count_op g Std_ops.cublas_mm_xyt_f32);
   checki "no i8 kernel" 0 (Graph.count_op g Std_ops.cublas_mm_xyt_i8)
@@ -174,7 +174,7 @@ let test_pass_rule_guards_gate () =
   let mm = Graph.add g Std_ops.matmul [ x; Graph.add g Std_ops.trans [ w ] ] in
   Graph.set_outputs g [ mm ];
   let prog = Program.make ~sg:env.Std_ops.sg [ Corpus.mmxyt ] in
-  let stats = Pass.run prog g in
+  let stats = Pass.run_cfg prog g in
   checki "no rewrites" 0 stats.Pass.total_rewrites;
   let ps = Option.get (Pass.find_pattern_stats stats "MMxyT") in
   checkb "pattern matched anyway" true (ps.Pass.matches >= 1)
@@ -187,7 +187,7 @@ let test_pass_identity_rhs () =
   let r = Graph.add g Std_ops.relu [ tt ] in
   Graph.set_outputs g [ r ];
   let prog = Program.make ~sg:env.Std_ops.sg [ Corpus.trans_trans ] in
-  let stats = Pass.run prog g in
+  let stats = Pass.run_cfg prog g in
   checki "one rewrite" 1 stats.Pass.total_rewrites;
   checki "no transposes left" 0 (Graph.count_op g Std_ops.trans);
   checkb "relu reads x" true
@@ -212,7 +212,12 @@ let test_pass_divergence_backstop () =
     }
   in
   let prog = Program.make ~sg:env.Std_ops.sg [ entry ] in
-  let stats = Pass.run ~max_rewrites:25 prog g in
+  let stats =
+    Pass.run_cfg
+      ~config:{ Pass.Config.default with Pass.Config.max_rewrites = 25 }
+      prog
+      g
+  in
   checkb "did not reach fixpoint" false stats.Pass.reached_fixpoint;
   checki "stopped at the backstop" 25 stats.Pass.total_rewrites
 
@@ -223,7 +228,7 @@ let test_match_only_counts_without_rewriting () =
   Graph.set_outputs g [ r ];
   let before = Graph.live_count g in
   let prog = Program.make ~sg:env.Std_ops.sg [ Corpus.relu_chain ] in
-  let stats = Pass.match_only prog g in
+  let stats = Pass.match_only_cfg prog g in
   checki "graph untouched" before (Graph.live_count g);
   checki "no rewrites" 0 stats.Pass.total_rewrites;
   let ps = Option.get (Pass.find_pattern_stats stats "ReluChain") in
@@ -273,9 +278,14 @@ let test_indexed_pass_equivalent () =
     (env, Transformer.build env cfg)
   in
   let env1, g1 = build () in
-  let s1 = Pass.run (Corpus.both_program env1.Std_ops.sg) g1 in
+  let s1 = Pass.run_cfg (Corpus.both_program env1.Std_ops.sg) g1 in
   let env2, g2 = build () in
-  let s2 = Pass.run ~indexed:true (Corpus.both_program env2.Std_ops.sg) g2 in
+  let s2 =
+    Pass.run_cfg
+      ~config:{ Pass.Config.default with Pass.Config.engine = Some Pass.Index }
+      (Corpus.both_program env2.Std_ops.sg)
+      g2
+  in
   checki "same rewrites" s1.Pass.total_rewrites s2.Pass.total_rewrites;
   checki "same final size" (Graph.live_count g1) (Graph.live_count g2);
   let skipped stats =
@@ -419,7 +429,7 @@ let test_compile_region_recursively () =
       let compiled =
         Partition.compile_region
           ~compile:(fun sub ->
-            ignore (Pass.run (Corpus.epilog_program e.Std_ops.sg) sub))
+            ignore (Pass.run_cfg (Corpus.epilog_program e.Std_ops.sg) sub))
           g region
       in
       (* the recursive compile fused the extracted subgraph *)

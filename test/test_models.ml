@@ -64,7 +64,7 @@ let test_transformer_mha_sites () =
     (fun layers ->
       let cfg = Transformer.config "t" ~layers ~hidden:64 ~seq:16 in
       let env, g = build_tf cfg in
-      let stats = Pass.match_only (Corpus.fmha_program env.Std_ops.sg) g in
+      let stats = Pass.match_only_cfg (Corpus.fmha_program env.Std_ops.sg) g in
       let ps = Option.get (Pass.find_pattern_stats stats "MHA") in
       checki
         (Printf.sprintf "%d layers -> %d MHA sites" layers layers)
@@ -87,7 +87,7 @@ let test_transformer_gelu_variants_differ () =
   (* both fuse to exactly one Gelu per layer *)
   List.iter
     (fun (env, g) ->
-      ignore (Pass.run (Corpus.epilog_program env.Std_ops.sg) g);
+      ignore (Pass.run_cfg (Corpus.epilog_program env.Std_ops.sg) g);
       checki "one gelu epilog fused" 1
         (Graph.count_op g Std_ops.gemm_bias_epilog_gelu))
     [ mk (Transformer.Act_gelu Transformer.Div_two) 5;
@@ -99,7 +99,7 @@ let test_transformer_relu_models () =
       ~activation:Transformer.Act_relu
   in
   let env, g = build_tf cfg in
-  ignore (Pass.run (Corpus.epilog_program env.Std_ops.sg) g);
+  ignore (Pass.run_cfg (Corpus.epilog_program env.Std_ops.sg) g);
   checki "relu epilogs fused" 2 (Graph.count_op g Std_ops.gemm_bias_epilog_relu);
   checki "no gelu epilogs" 0 (Graph.count_op g Std_ops.gemm_bias_epilog_gelu)
 
@@ -144,7 +144,7 @@ let test_vision_output_shape () =
 let test_vision_conv_epilogs () =
   let cfg = Vision.config "v" ~stages:3 ~blocks_per_stage:2 in
   let env, g = build_v cfg in
-  let stats = Pass.match_only (Corpus.epilog_program env.Std_ops.sg) g in
+  let stats = Pass.match_only_cfg (Corpus.epilog_program env.Std_ops.sg) g in
   let ps = Option.get (Pass.find_pattern_stats stats "ConvEpilog") in
   checki "expected conv epilog sites" (Vision.expected_conv_epilogs cfg)
     ps.Pass.matches
@@ -160,7 +160,7 @@ let test_vision_vgg_pools () =
 let test_vision_no_mha () =
   let cfg = Vision.config "v" in
   let env, g = build_v cfg in
-  let stats = Pass.match_only (Corpus.fmha_program env.Std_ops.sg) g in
+  let stats = Pass.match_only_cfg (Corpus.fmha_program env.Std_ops.sg) g in
   let ps = Option.get (Pass.find_pattern_stats stats "MHA") in
   checki "no MHA sites in CNNs" 0 ps.Pass.matches
 
@@ -170,7 +170,7 @@ let test_vision_classifier_hidden_epilog () =
       ~classifier_hidden:(Some 64)
   in
   let env, g = build_v cfg in
-  ignore (Pass.run (Corpus.epilog_program env.Std_ops.sg) g);
+  ignore (Pass.run_cfg (Corpus.epilog_program env.Std_ops.sg) g);
   checki "hidden FC fused" 1 (Graph.count_op g Std_ops.gemm_bias_epilog_relu)
 
 (* ------------------------------------------------------------------ *)
@@ -185,7 +185,7 @@ let test_multimodal_all_families_fire () =
   (* all three optimization families have sites in one graph *)
   let full = Corpus.full_program env.Std_ops.sg in
   let before = Exec.graph_cost Cost.a6000 g in
-  let stats = Pass.run full g in
+  let stats = Pass.run_cfg full g in
   let after = Exec.graph_cost Cost.a6000 g in
   checkb "fmha fused" true (Graph.count_op g Std_ops.fmha >= 2);
   checkb "conv epilogs fused" true (Graph.count_op g Std_ops.conv_bias_relu >= 2);
@@ -230,7 +230,7 @@ let test_zoo_end_to_end_speedup () =
   let m = Option.get (Zoo.find "bert-tiny") in
   let env, g = m.Zoo.build () in
   let before = Exec.graph_cost Cost.a6000 g in
-  ignore (Pass.run (Corpus.both_program env.Std_ops.sg) g);
+  ignore (Pass.run_cfg (Corpus.both_program env.Std_ops.sg) g);
   let after = Exec.graph_cost Cost.a6000 g in
   checkb "optimization helps" true (after < before)
 

@@ -29,7 +29,12 @@ let contains hay needle =
 let test_fuel_exhausted_surfaces () =
   let e, g = (Option.get (Zoo.find "bert-tiny")).Zoo.build () in
   Obs.ring_reset ();
-  let stats = Pass.run ~fuel:5 (Corpus.both_program e.Std_ops.sg) g in
+  let stats =
+    Pass.run_cfg
+      ~config:{ Pass.Config.default with Pass.Config.fuel = 5 }
+      (Corpus.both_program e.Std_ops.sg)
+      g
+  in
   checkb "stats.fuel_exhausted > 0" true (stats.Pass.fuel_exhausted > 0);
   checkb "some pattern records fuel exhaustion" true
     (List.exists
@@ -48,7 +53,7 @@ let test_fuel_exhausted_surfaces () =
 
 let test_ample_fuel_reports_none () =
   let e, g = (Option.get (Zoo.find "bert-tiny")).Zoo.build () in
-  let stats = Pass.run (Corpus.both_program e.Std_ops.sg) g in
+  let stats = Pass.run_cfg (Corpus.both_program e.Std_ops.sg) g in
   checki "no fuel exhaustion at the default bound" 0 stats.Pass.fuel_exhausted
 
 (* ------------------------------------------------------------------ *)
@@ -131,7 +136,14 @@ let test_agg_matches_stats () =
   let agg = Obs.Agg.create () in
   let stats =
     Obs.with_sink (Obs.Agg.sink agg) (fun () ->
-        Pass.run ~engine:Pass.Index (Corpus.both_program e.Std_ops.sg) g)
+        Pass.run_cfg
+          ~config:
+            {
+              Pass.Config.default with
+              Pass.Config.engine = Some Pass.Index;
+            }
+          (Corpus.both_program e.Std_ops.sg)
+          g)
   in
   List.iter
     (fun (ps : Pass.pattern_stats) ->
@@ -157,7 +169,10 @@ let provenance_key (s : Obs.Provenance.step) =
 let test_provenance_replays_the_pass () =
   let run engine =
     let e, g = (Option.get (Zoo.find "bert-mini")).Zoo.build () in
-    Pass.run ~engine (Corpus.both_program e.Std_ops.sg) g
+    Pass.run_cfg
+      ~config:{ Pass.Config.default with Pass.Config.engine = Some engine }
+      (Corpus.both_program e.Std_ops.sg)
+      g
   in
   let s_naive = run Pass.Naive in
   let s_plan = run Pass.Plan in
@@ -283,7 +298,14 @@ let test_chrome_trace_is_valid_json () =
   let c = Obs.Collector.create () in
   ignore
     (Obs.with_sink (Obs.Collector.sink c) (fun () ->
-         Pass.run ~engine:Pass.Plan (Corpus.both_program e.Std_ops.sg) g));
+         Pass.run_cfg
+           ~config:
+             {
+               Pass.Config.default with
+               Pass.Config.engine = Some Pass.Plan;
+             }
+           (Corpus.both_program e.Std_ops.sg)
+           g));
   checkb "captured events" true (Obs.Collector.length c > 0);
   let json = Obs.Chrome.to_string (Obs.Collector.events c) in
   checkb "well-formed JSON" true (json_ok json);

@@ -253,7 +253,16 @@ let test_incremental_fixpoint_equivalence () =
     (fun (m : Zoo.model) ->
       let run engine =
         let env, g = m.Zoo.build () in
-        let stats = Pass.run ~engine (Corpus.both_program env.Std_ops.sg) g in
+        let stats =
+          Pass.run_cfg
+            ~config:
+              {
+                Pass.Config.default with
+                Pass.Config.engine = Some engine;
+              }
+            (Corpus.both_program env.Std_ops.sg)
+            g
+        in
         (stats, graph_hash g)
       in
       let s_full, h_full = run Pass.Naive in
@@ -275,7 +284,12 @@ let test_plan_prunes_more_than_index () =
     let env, g = m.Zoo.build () in
     let prog = Corpus.both_program env.Std_ops.sg in
     Matcher.reset_cumulative_visits ();
-    let stats = Pass.match_only ~engine prog g in
+    let stats =
+      Pass.match_only_cfg
+        ~config:{ Pass.Config.default with Pass.Config.engine = Some engine }
+        prog
+        g
+    in
     (stats, Matcher.cumulative_visits ())
   in
   let s_idx, v_idx = measure Pass.Index in

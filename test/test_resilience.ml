@@ -205,7 +205,7 @@ let test_point_names_roundtrip () =
 (* Baseline sanity: without faults the chain program rewrites the tower. *)
 let test_clean_run_rewrites () =
   let env, g = chain_graph () in
-  let stats = Pass.run (chain_program env) g in
+  let stats = Pass.run_cfg (chain_program env) g in
   checkb "rewrites fired" true (stats.Pass.total_rewrites > 0);
   checks "engine recorded" "naive" stats.Pass.engine_used;
   checkb "no errors" true (stats.Pass.errors = [] && stats.Pass.fatal = None)
@@ -216,7 +216,12 @@ let test_rollback_preserves_fingerprint () =
   let inject =
     Inject.seeded ~seed:11 ~rate:1.0 ~points:[ Inject.Instantiate_fail ] ()
   in
-  let stats = Pass.run ~inject (chain_program env) g in
+  let stats =
+    Pass.run_cfg
+      ~config:{ Pass.Config.default with Pass.Config.inject = inject }
+      (chain_program env)
+      g
+  in
   checki "no rewrites" 0 stats.Pass.total_rewrites;
   checkb "attempts were rolled back" true (stats.Pass.rolled_back > 0);
   checks "fingerprint unchanged" before (Fuzz.fingerprint g);
@@ -228,7 +233,12 @@ let test_cycle_rejection_counted_and_rolled_back () =
   let inject =
     Inject.seeded ~seed:5 ~rate:1.0 ~points:[ Inject.Replace_cycle ] ()
   in
-  let stats = Pass.run ~inject (chain_program env) g in
+  let stats =
+    Pass.run_cfg
+      ~config:{ Pass.Config.default with Pass.Config.inject = inject }
+      (chain_program env)
+      g
+  in
   checkb "cycle rejections counted" true (stats.Pass.cycle_rejections > 0);
   checki "no rewrites" 0 stats.Pass.total_rewrites;
   checks "fingerprint unchanged" before (Fuzz.fingerprint g);
@@ -239,7 +249,12 @@ let test_guard_raise_becomes_error () =
   let inject =
     Inject.seeded ~seed:2 ~rate:1.0 ~points:[ Inject.Guard_raise ] ()
   in
-  let stats = Pass.run ~inject (chain_program env) g in
+  let stats =
+    Pass.run_cfg
+      ~config:{ Pass.Config.default with Pass.Config.inject = inject }
+      (chain_program env)
+      g
+  in
   checki "no rewrites" 0 stats.Pass.total_rewrites;
   checkb "guard errors recorded" true
     (List.exists
@@ -252,7 +267,17 @@ let test_fuel_cut_quarantines () =
   let inject =
     Inject.seeded ~seed:3 ~rate:1.0 ~points:[ Inject.Fuel_cut ] ()
   in
-  let stats = Pass.run ~inject ~quarantine_after:3 (chain_program env) g in
+  let stats =
+    Pass.run_cfg
+      ~config:
+        {
+          Pass.Config.default with
+          Pass.Config.inject = inject;
+          quarantine_after = 3;
+        }
+      (chain_program env)
+      g
+  in
   checkb "fuel exhaustions surfaced" true (stats.Pass.fuel_exhausted > 0);
   checki "pattern quarantined" 1 stats.Pass.quarantined;
   checkb "per-pattern flag set" true
@@ -267,7 +292,17 @@ let test_quarantine_stops_attempts () =
   let inject =
     Inject.seeded ~seed:3 ~rate:1.0 ~points:[ Inject.Fuel_cut ] ()
   in
-  let stats = Pass.run ~inject ~quarantine_after:2 (chain_program env) g in
+  let stats =
+    Pass.run_cfg
+      ~config:
+        {
+          Pass.Config.default with
+          Pass.Config.inject = inject;
+          quarantine_after = 2;
+        }
+      (chain_program env)
+      g
+  in
   (match Pass.find_pattern_stats stats "ReluChain" with
   | Some ps ->
       checkb "attempts stop at the trip" true (ps.Pass.attempts <= 3)
@@ -276,7 +311,12 @@ let test_quarantine_stops_attempts () =
 
 let test_deadline_partial_stats () =
   let env, g = chain_graph ~n:6 () in
-  let stats = Pass.run ~deadline_s:0.0 (chain_program env) g in
+  let stats =
+    Pass.run_cfg
+      ~config:{ Pass.Config.default with Pass.Config.deadline_s = Some 0.0 }
+      (chain_program env)
+      g
+  in
   checkb "deadline hit" true stats.Pass.deadline_hit;
   checkb "not a fixpoint" true (not stats.Pass.reached_fixpoint);
   checki "stopped before rewriting" 0 stats.Pass.total_rewrites;
@@ -288,7 +328,12 @@ let test_deadline_partial_stats () =
 
 let test_ladder_plan_to_index () =
   let env, g = chain_graph () in
-  let clean = Pass.run ~engine:Pass.Plan (chain_program env) g in
+  let clean =
+    Pass.run_cfg
+      ~config:{ Pass.Config.default with Pass.Config.engine = Some Pass.Plan }
+      (chain_program env)
+      g
+  in
   let env2, g2 = chain_graph () in
   ignore env2;
   let inject =
@@ -298,7 +343,15 @@ let test_ladder_plan_to_index () =
   let c = Obs.Collector.create () in
   let stats =
     Obs.with_sink (Obs.Collector.sink c) (fun () ->
-        Pass.run ~engine:Pass.Plan ~inject (chain_program env) g2)
+        Pass.run_cfg
+          ~config:
+            {
+              Pass.Config.default with
+              Pass.Config.engine = Some Pass.Plan;
+              inject;
+            }
+          (chain_program env)
+          g2)
   in
   checks "degraded to index" "index" stats.Pass.engine_used;
   checki "same rewrites as the healthy run" clean.Pass.total_rewrites
@@ -317,7 +370,17 @@ let test_ladder_to_naive_then_fatal () =
     Inject.seeded ~seed:1 ~rate:1.0 ~max_fires:2
       ~points:[ Inject.Plan_compile ] ()
   in
-  let stats = Pass.run ~engine:Pass.Plan ~inject (chain_program env) g in
+  let stats =
+    Pass.run_cfg
+      ~config:
+        {
+          Pass.Config.default with
+          Pass.Config.engine = Some Pass.Plan;
+          inject;
+        }
+      (chain_program env)
+      g
+  in
   checks "bottom rung reached" "naive" stats.Pass.engine_used;
   checkb "still rewrote" true (stats.Pass.total_rewrites > 0);
   (* and with every rung poisoned: fatal, contained, graph untouched *)
@@ -327,7 +390,17 @@ let test_ladder_to_naive_then_fatal () =
   let inject =
     Inject.seeded ~seed:1 ~rate:1.0 ~points:[ Inject.Plan_compile ] ()
   in
-  match Pass.run_result ~engine:Pass.Plan ~inject (chain_program env) g2 with
+  match
+    Pass.run_result_cfg
+      ~config:
+        {
+          Pass.Config.default with
+          Pass.Config.engine = Some Pass.Plan;
+          inject;
+        }
+      (chain_program env)
+      g2
+  with
   | Ok _ -> Alcotest.fail "no engine available but the pass claims success"
   | Error (Pass.Engine_unavailable { engine; _ }, stats) ->
       checks "died at the bottom rung" "naive" engine;
@@ -350,7 +423,17 @@ let test_fault_schedule_sweep () =
         Graph.set_outputs g [ Graph.add g Std_ops.add [ t; relu_tower g ~n:2 x ] ];
         let inject = Inject.seeded ~seed ~rate:0.4 () in
         let stats =
-          try Pass.run ~engine ~inject ~quarantine_after:2 (chain_program env) g
+          try
+            Pass.run_cfg
+              ~config:
+                {
+                  Pass.Config.default with
+                  Pass.Config.engine = Some engine;
+                  inject;
+                  quarantine_after = 2;
+                }
+              (chain_program env)
+              g
           with e ->
             Alcotest.failf "seed %d, %s engine: pass raised %s" seed
               (Pass.engine_name engine) (Printexc.to_string e)

@@ -85,7 +85,12 @@ let test_rule_with_unbound_var_is_contained () =
   let r1 = Graph.add g Std_ops.relu [ x ] in
   let r2 = Graph.add g Std_ops.relu [ r1 ] in
   Graph.set_outputs g [ Graph.add g Std_ops.relu [ r2 ] ];
-  let stats = Pass.run ~quarantine_after:2 (bad_program env) g in
+  let stats =
+    Pass.run_cfg
+      ~config:{ Pass.Config.default with Pass.Config.quarantine_after = 2 }
+      (bad_program env)
+      g
+  in
   checki "no rewrites fired" 0 stats.Pass.total_rewrites;
   checkb "errors recorded" true (stats.Pass.errors <> []);
   (match List.hd stats.Pass.errors with
@@ -109,7 +114,7 @@ let test_rule_with_unbound_var_strict () =
   let env, g = fresh () in
   let x = Graph.input g ~name:"x" (f32 [ 4 ]) in
   Graph.set_outputs g [ Graph.add g Std_ops.relu [ x ] ];
-  match Pass.run_result (bad_program env) g with
+  match Pass.run_result_cfg (bad_program env) g with
   | Ok _ -> Alcotest.fail "strict mode accepted an unbound rule variable"
   | Error (e, stats) ->
       (match e with
@@ -124,7 +129,7 @@ let test_pass_on_empty_program_is_identity () =
   let x = Graph.input g ~name:"x" (f32 [ 4 ]) in
   Graph.set_outputs g [ Graph.add g Std_ops.relu [ x ] ];
   let before = Graph.live_count g in
-  let stats = Pass.run (Program.make ~sg:env.Std_ops.sg []) g in
+  let stats = Pass.run_cfg (Program.make ~sg:env.Std_ops.sg []) g in
   checki "no rewrites" 0 stats.Pass.total_rewrites;
   checki "untouched" before (Graph.live_count g);
   checkb "fixpoint" true stats.Pass.reached_fixpoint
@@ -132,7 +137,7 @@ let test_pass_on_empty_program_is_identity () =
 let test_pass_on_empty_graph () =
   let env, g = fresh () in
   Graph.set_outputs g [];
-  let stats = Pass.run (Corpus.both_program env.Std_ops.sg) g in
+  let stats = Pass.run_cfg (Corpus.both_program env.Std_ops.sg) g in
   checki "nothing visited" 0 stats.Pass.nodes_visited;
   checkb "fixpoint" true stats.Pass.reached_fixpoint
 

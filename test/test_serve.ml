@@ -216,6 +216,32 @@ let test_protocol_decode_total () =
     (* totality is the assertion: no exception escapes *)
   done
 
+(* Protocol v4 dropped [options.domains]. A v3 peer's request must get
+   the structured version error, not a misparsed option block. The
+   header is the magic then a one-byte varint version. *)
+let test_protocol_rejects_v3 () =
+  let bytes =
+    Protocol.encode_request
+      (Protocol.Optimize
+         {
+           id = 1;
+           program = Protocol.Named "both";
+           options = Protocol.default_options;
+           graph = "gg";
+         })
+  in
+  let v3 = Bytes.of_string bytes in
+  Bytes.set v3 4 (Char.chr 3);
+  match Protocol.decode_request (Bytes.to_string v3) with
+  | Ok _ -> Alcotest.fail "a v3 request decoded"
+  | Error m ->
+      let needle = "unsupported protocol version 3" in
+      let rec has i =
+        i + String.length needle <= String.length m
+        && (String.sub m i (String.length needle) = needle || has (i + 1))
+      in
+      if not (has 0) then Alcotest.failf "unexpected error: %s" m
+
 (* Feed two frames split at every possible boundary: the reader must
    produce exactly the same two payloads regardless of the split. *)
 let test_reader_any_split () =
@@ -903,6 +929,8 @@ let () =
             test_protocol_outcome_roundtrip;
           Alcotest.test_case "decode is total on mangled bytes" `Quick
             test_protocol_decode_total;
+          Alcotest.test_case "v3 request is an unsupported version" `Quick
+            test_protocol_rejects_v3;
           Alcotest.test_case "reader survives any frame split" `Quick
             test_reader_any_split;
           Alcotest.test_case "oversize frames are a sticky error" `Quick

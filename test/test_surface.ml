@@ -179,7 +179,7 @@ let test_figure1_runs () =
   let w = Graph.input g ~name:"w" (Ty.make Dtype.F32 [ 5; 3 ]) in
   let mm = Graph.add g Std_ops.matmul [ x; Graph.add g Std_ops.trans [ w ] ] in
   Graph.set_outputs g [ mm ];
-  let stats = Pass.run p g in
+  let stats = Pass.run_cfg p g in
   checki "one rewrite" 1 stats.Pass.total_rewrites;
   checki "kernel node" 1 (Graph.count_op g "cublasMM_xyT_f32")
 
@@ -404,7 +404,7 @@ let test_copying_rule () =
   let b = Graph.input g ~name:"b" (f32 [ 8; 1; 1 ]) in
   let c = Graph.add g Std_ops.conv2d ~attrs:[ ("stride", 2); ("pad", 1) ] [ x; w; b ] in
   Graph.set_outputs g [ Graph.add g Std_ops.relu [ c ] ];
-  ignore (Pass.run p g);
+  ignore (Pass.run_cfg p g);
   let fused =
     List.find (fun n -> Symbol.equal n.Graph.op Std_ops.conv_bias_relu)
       (Graph.live_nodes g)

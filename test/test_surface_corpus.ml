@@ -44,10 +44,10 @@ let compare_on_model name =
   let m = Option.get (Zoo.find name) in
   (* built-in corpus *)
   let env1, g1 = m.Zoo.build () in
-  let s1 = Pass.run (Corpus.both_program env1.Std_ops.sg) g1 in
+  let s1 = Pass.run_cfg (Corpus.both_program env1.Std_ops.sg) g1 in
   (* surface corpus *)
   let env2, g2 = m.Zoo.build () in
-  let s2 = Pass.run (load_surface_program env2) g2 in
+  let s2 = Pass.run_cfg (load_surface_program env2) g2 in
   checki (name ^ ": same number of rewrites") s1.Pass.total_rewrites
     s2.Pass.total_rewrites;
   List.iter2
@@ -73,8 +73,8 @@ let test_roundtrips_through_binary () =
     | Ok p -> p
     | Error e -> Alcotest.fail e
   in
-  let s1 = Pass.run (load_surface_program env) g in
-  let s2 = Pass.run p g2 in
+  let s1 = Pass.run_cfg (load_surface_program env) g in
+  let s2 = Pass.run_cfg p g2 in
   checki "same rewrites after the binary round trip" s1.Pass.total_rewrites
     s2.Pass.total_rewrites
 

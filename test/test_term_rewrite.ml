@@ -150,7 +150,7 @@ let test_agrees_with_graph_pass () =
   let t = Term_view.term_of view top in
   let t', _ = Term_rewrite.normalize ~interp:(Term_view.interp view) program t in
   (* graph side *)
-  ignore (Pass.run program g);
+  ignore (Pass.run_cfg program g);
   let view' = Term_view.create g in
   let t_graph = Term_view.term_of view' (List.hd (Graph.outputs g)) in
   checkb "same normal form" true (Term.equal t' t_graph)
