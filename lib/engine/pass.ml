@@ -362,7 +362,7 @@ let symbol_strings syms = List.map (fun (s : Pypm_term.Symbol.t) -> (s :> string
    cycle rejection after construction, or an injected fault rolls the
    graph back to its pre-attempt state — no orphan nodes, no partial
    rewiring — and the next rule (or pattern) is tried. *)
-let fire rc g view (c : ectx) node theta phi =
+let fire ?settled rc g view (c : ectx) node theta phi =
   let stats = rc.rstats in
   let pname = c.entry.Program.pname in
   let rec try_rules = function
@@ -438,7 +438,7 @@ let fire rc g view (c : ectx) node theta phi =
                   let replaced =
                     if Inject.fires rc.rinject Inject.Replace_cycle then
                       Error `Cycle
-                    else Graph.try_replace g ~old_root:node ~new_root
+                    else Graph.try_replace ?settled g ~old_root:node ~new_root
                   in
                   match replaced with
                   | Error `Cycle ->
@@ -493,14 +493,17 @@ let resolve_engine engine = Option.value engine ~default:Naive
 (* Full-traversal engines (Naive, Index)                               *)
 (* ------------------------------------------------------------------ *)
 
+(* After each committed firing the replaced root, and every input it
+   leaves without a live user, is freed by use count; the one full
+   [Graph.gc] runs when the pass leaves the loop (see [run_prepared_cfg]). *)
 let run_scan rc ~max_rewrites ctxs g =
   let stats = rc.rstats in
   let rec traverse () =
     stats.iterations <- stats.iterations + 1;
     Obs.emit (Obs.Iteration { n = stats.iterations });
     let view = Term_view.create g in
-    let rewrote =
-      List.exists
+    let fired =
+      List.find_opt
         (fun node ->
           check_deadline rc;
           stats.nodes_visited <- stats.nodes_visited + 1;
@@ -513,10 +516,11 @@ let run_scan rc ~max_rewrites ctxs g =
             ctxs)
         (Graph.live_nodes g)
     in
-    if rewrote then (
-      stats.collected <- stats.collected + Graph.gc g;
-      if stats.total_rewrites < max_rewrites then traverse ())
-    else stats.reached_fixpoint <- true
+    match fired with
+    | Some node ->
+        stats.collected <- stats.collected + Graph.free g node;
+        if stats.total_rewrites < max_rewrites then traverse ()
+    | None -> stats.reached_fixpoint <- true
   in
   traverse ()
 
@@ -591,80 +595,142 @@ let plan_match_at rc ~plan ~pctxs view node ~on_match =
   in
   go pctxs
 
-let last_node_id g =
-  List.fold_left (fun acc (n : Graph.node) -> max acc n.Graph.id) (-1)
-    (Graph.nodes g)
+(* The plan loop keeps a set of {e clean} nodes: scanned since their term
+   view last changed, without firing. Every other node is dirty, new nodes
+   included. Scanning visits the dirty live nodes in the live topological
+   order, so the rewrite sequence is the full traversal's: a clean node
+   cannot newly match, since its term view is unchanged and matching
+   depends on nothing else.
 
-(* After a rewrite, only nodes whose term view changed can newly match: the
-   nodes the rewrite created, plus the transitive consumers of the
-   replacement root. Mark exactly those dirty. *)
-let mark_dirty_region g dirty ~before_last_id (new_root : Graph.node) =
-  let users : (int, Graph.node list) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun (n : Graph.node) ->
-      List.iter
-        (fun (i : Graph.node) ->
-          Hashtbl.replace users i.Graph.id
-            (n :: Option.value ~default:[] (Hashtbl.find_opt users i.Graph.id)))
-        n.Graph.inputs;
-      if n.Graph.id > before_last_id then Hashtbl.replace dirty n.Graph.id ())
-    (Graph.live_nodes g);
-  let seen = Hashtbl.create 64 in
+   The dirty set is upward closed: every live user of a dirty node is
+   dirty. It starts as every node. A node is cleaned only when the scan
+   reaches it, after all its inputs, none of which fired; a firing makes
+   dirty its new nodes and every transitive user of [new_root]. So clean
+   nodes only read clean nodes, and a clean node's whole cone is clean.
+
+   After a rewrite, only nodes whose term view changed can newly match:
+   the nodes the rewrite created, which are dirty already, plus the
+   transitive consumers of the replacement root. Walk up use edges from
+   [new_root]; by upward closure the walk stops at the first dirty user.
+   The rewired users of the matched root are dirty, so usually nothing
+   beyond [new_root] is touched. *)
+let mark_dirty_region clean (new_root : Graph.node) =
   let rec up (n : Graph.node) =
-    if not (Hashtbl.mem seen n.Graph.id) then begin
-      Hashtbl.replace seen n.Graph.id ();
-      Hashtbl.replace dirty n.Graph.id ();
-      List.iter up
-        (Option.value ~default:[] (Hashtbl.find_opt users n.Graph.id))
-    end
+    List.iter
+      (fun (u : Graph.node) ->
+        if u.Graph.live && Hashtbl.mem clean u.Graph.id then (
+          Hashtbl.remove clean u.Graph.id;
+          up u))
+      n.Graph.users
   in
+  Hashtbl.remove clean new_root.Graph.id;
   up new_root
 
+(* One frame of the scan's explicit DFS stack: a node (or, at the bottom,
+   the output list) and how many of its input slots have been consumed.
+   [rest] is cut from [seen]; a rewrite replaces the input list of every
+   node it rewires, so a frame whose list is no longer [seen] re-cuts
+   [rest] from the current list. *)
+type frame = {
+  fnode : Graph.node option;  (** [None]: the outputs *)
+  mutable seen : Graph.node list;
+  mutable rest : Graph.node list;
+  mutable consumed : int;
+}
+
+let slots_of g = function None -> Graph.outputs g | Some n -> n.Graph.inputs
+
+let new_frame g fnode =
+  let slots = slots_of g fnode in
+  { fnode; seen = slots; rest = slots; consumed = 0 }
+
+let rec drop k l = if k = 0 then l else match l with [] -> [] | _ :: t -> drop (k - 1) t
+
+(* The scan is a DFS from the outputs, inputs first, that visits a node
+   after its inputs — the order of [Graph.live_nodes] — but only descends
+   into dirty nodes: a clean node's cone is clean, so the dirty nodes come
+   in the same order as in a full traversal.
+
+   A firing does not restart it. When the node [f] fires, every node the
+   DFS has finished is clean (or is [f]), and the graph changes only at
+   [f]'s users, which are all unfinished. So a fresh DFS would retrace the
+   current stack, skipping the clean finished subtrees, and arrive at the
+   slot of [f]'s parent frame that now holds [new_root]: the scan resumes
+   there. That needs two things, which hold for nearly every rewrite:
+   [new_root] is a new node (an old one, e.g. [x] for [Mul(x, 1)], may
+   have finished users that the rewrite makes dirty), and [f] is dead (a
+   live [f] is dirty and finished). Otherwise the scan restarts from the
+   outputs, still skipping clean nodes.
+
+   The term view is built fresh once per iteration (one firing): [node_of]
+   resolves structurally equal subgraphs to the first node the view
+   registers, so a view kept across firings would change sharing. *)
 let run_plan rc ~max_rewrites plan pctxs g =
   let stats = rc.rstats in
-  (* The work-queue: ids of nodes whose term view may have changed since
-     they were last scanned without firing. Scanning follows the live
-     topological order restricted to this set, so the rewrite sequence is
-     the full traversal's (clean nodes cannot newly match: their term view
-     is unchanged and matching depends on nothing else). *)
-  let dirty : (int, unit) Hashtbl.t = Hashtbl.create 512 in
-  List.iter
-    (fun (n : Graph.node) -> Hashtbl.replace dirty n.Graph.id ())
-    (Graph.live_nodes g);
-  let rec traverse () =
+  let clean : (int, unit) Hashtbl.t = Hashtbl.create 512 in
+  let entered : (int, unit) Hashtbl.t = Hashtbl.create 512 in
+  let stack = ref [ new_frame g None ] in
+  let restart () =
+    Hashtbl.reset entered;
+    stack := [ new_frame g None ]
+  in
+  let rec iteration () =
     stats.iterations <- stats.iterations + 1;
     Obs.emit (Obs.Iteration { n = stats.iterations });
-    let view = Term_view.create g in
-    let rewrote =
-      List.exists
-        (fun (node : Graph.node) ->
-          if not (Hashtbl.mem dirty node.Graph.id) then false
-          else begin
-            check_deadline rc;
-            let fired =
-              plan_match_at rc ~plan ~pctxs view node
-                ~on_match:(fun c (theta, phi) ->
-                  let before_last_id = last_node_id g in
-                  match fire rc g view c node theta phi with
-                  | Some new_root ->
-                      mark_dirty_region g dirty ~before_last_id new_root;
-                      Some new_root
-                  | None -> None)
-            in
-            match fired with
-            | Some _ -> true
-            | None ->
-                Hashtbl.remove dirty node.Graph.id;
-                false
-          end)
-        (Graph.live_nodes g)
+    scan (Term_view.create g)
+  and scan view =
+    match !stack with
+    | [] -> stats.reached_fixpoint <- true
+    | fr :: below -> (
+        let slots = slots_of g fr.fnode in
+        if slots != fr.seen then (
+          fr.seen <- slots;
+          fr.rest <- drop fr.consumed slots);
+        match fr.rest with
+        | n :: rest ->
+            fr.rest <- rest;
+            fr.consumed <- fr.consumed + 1;
+            let id = n.Graph.id in
+            if not (Hashtbl.mem clean id || Hashtbl.mem entered id) then (
+              Hashtbl.replace entered id ();
+              stack := new_frame g (Some n) :: !stack);
+            scan view
+        | [] -> (
+            stack := below;
+            match fr.fnode with
+            | None -> scan view
+            | Some node -> visit view below node))
+  and visit view below node =
+    check_deadline rc;
+    let first_new = Graph.next_id g in
+    (* Cycle-test bound for [Graph.try_replace]: a clean old node cannot
+       reach a live user of [node]. [node] is dirty (it is being scanned),
+       so by upward closure its live users are dirty, and a clean node
+       reaches only clean nodes. New nodes are not in the clean set yet,
+       so they are never settled. *)
+    let settled (n : Graph.node) =
+      n.Graph.id < first_new && Hashtbl.mem clean n.Graph.id
     in
-    if rewrote then (
-      stats.collected <- stats.collected + Graph.gc g;
-      if stats.total_rewrites < max_rewrites then traverse ())
-    else stats.reached_fixpoint <- true
+    match
+      plan_match_at rc ~plan ~pctxs view node ~on_match:(fun c (theta, phi) ->
+          fire ~settled rc g view c node theta phi)
+    with
+    | None ->
+        Hashtbl.replace clean node.Graph.id ();
+        scan view
+    | Some new_root ->
+        stats.collected <- stats.collected + Graph.free g node;
+        mark_dirty_region clean new_root;
+        (match below with
+        | parent :: _ when new_root.Graph.id >= first_new && not node.Graph.live
+          ->
+            (* resume: re-read [node]'s slot, which now holds [new_root] *)
+            parent.consumed <- parent.consumed - 1;
+            parent.seen <- []
+        | _ -> restart ());
+        if stats.total_rewrites < max_rewrites then iteration ()
   in
-  traverse ()
+  iteration ()
 
 (* ------------------------------------------------------------------ *)
 (* Prepared engines                                                    *)
@@ -846,6 +912,13 @@ let run_prepared_cfg ?(config = Config.default) (p : prepared) g =
              used_plan := Some plan;
              run_plan rc ~max_rewrites plan pctxs g
        with Aborted -> ());
+      (* The loop frees by use count; one full collection when it is left,
+         at a fixpoint or not, drops what use counts cannot see (garbage
+         the graph came with, dead nodes a rule built beside its
+         replacement). Skipped without a rewrite, where nothing changed,
+         and inside a caller's transaction, which gc cannot journal. *)
+      if stats.total_rewrites > 0 && not (Graph.Txn.active g) then
+        stats.collected <- stats.collected + Graph.gc g;
       (* The e-graph engine's saturation post-phase: runs after the greedy
          pass (never instead of it) and commits only strict whole-graph
          cost improvements, so the result is never costlier than the Plan

@@ -25,9 +25,17 @@
       nodes the rewrite created plus the transitive consumers of the
       replacement root) is re-matched; everything else keeps its
       last-scanned no-match status, which is sound because a node's match
-      outcome depends only on its term view. The rewrite sequence — and
-      hence the final graph — is identical to the full-traversal engines'
-      (checked in [test/test_plan.ml]).
+      outcome depends only on its term view. The scan resumes after a
+      firing instead of restarting, and marking the dirty region walks
+      use-lists; the loop's cost follows the rewrite, not the graph (see
+      [doc/plan.md] §4). The rewrite sequence — and hence the final graph
+      — is identical to the full-traversal engines' (checked in
+      [test/test_plan.ml]).
+
+    Every engine frees the replaced subgraph by use count after each
+    firing ({!Pypm_graph.Graph.free}) and runs one {!Pypm_graph.Graph.gc}
+    when its loop ends, unless the pass runs inside a caller's
+    transaction.
     - {!Egraph}: the Plan machinery followed by one cost-guided
       equality-saturation post-phase ({!Eqsat.phase}): the program's
       convertible rules saturate an e-graph over the greedy result under
@@ -170,7 +178,9 @@ type stats = {
       (** total firing attempts undone by the transaction journal (failed
           instantiates, type and cycle rejections, injected faults) *)
   mutable quarantined : int;  (** patterns quarantined during the pass *)
-  mutable collected : int;  (** garbage nodes removed *)
+  mutable collected : int;
+      (** garbage nodes removed: freed after each firing plus the final
+          collection *)
   mutable wall_time : float;  (** whole pass, seconds *)
   mutable plan_time : float;
       (** seconds inside the shared plan's trie walk (0 unless [Plan]) *)

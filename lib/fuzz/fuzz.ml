@@ -232,6 +232,14 @@ let with_engine engine =
 
 let engine_names = [ (Pass.Naive, "naive"); (Pass.Index, "index"); (Pass.Plan, "plan") ]
 
+(* The rewrite sequence of a pass: per firing, the pattern, the rule, and
+   the matched and replacement node ids. *)
+let rewrite_sequence (stats : Pass.stats) =
+  List.map
+    (fun (p : Pypm_obs.Obs.Provenance.step) ->
+      (p.pattern, p.rule, p.matched_root, p.replacement_root))
+    stats.Pass.provenance
+
 let engines_agree recipe =
   (* Matching half: identical per-pattern match counts. *)
   let match_counts engine =
@@ -258,21 +266,28 @@ let engines_agree recipe =
         Fail
           (Printf.sprintf "per-pattern match counts differ: naive vs %s" name)
     | None -> (
-        (* Rewriting half: identical rewrite counts and isomorphic final
-           graphs, which must also validate. *)
+        (* Rewriting half: identical rewrite counts, the same rewrite
+           sequence and isomorphic final graphs, which must also
+           validate. *)
         let full engine =
           let _env, g, prog = Gen.build recipe in
           let stats = Pass.run_cfg ~config:(with_engine engine) prog g in
           if stats.Pass.fuel_exhausted > 0 then None
-          else Some (stats.Pass.total_rewrites, fingerprint g, Graph.validate g)
+          else
+            Some
+              ( stats.Pass.total_rewrites,
+                rewrite_sequence stats,
+                fingerprint g,
+                Graph.validate g )
         in
         let runs = List.map (fun (e, n) -> (n, full e)) engine_names in
         if List.exists (fun (_, r) -> r = None) runs then Discard
         else
           let get n = List.assoc n runs in
           match (get "naive", get "index", get "plan") with
-          | Some (rw0, fp0, val0), Some (rw1, fp1, val1), Some (rw2, fp2, val2)
-            -> (
+          | ( Some (rw0, seq0, fp0, val0),
+              Some (rw1, seq1, fp1, val1),
+              Some (rw2, seq2, fp2, val2) ) -> (
               match
                 List.find_opt
                   (fun (_, errs) -> errs <> [])
@@ -288,6 +303,10 @@ let engines_agree recipe =
                       (Printf.sprintf
                          "rewrite counts differ: naive %d, index %d, plan %d"
                          rw0 rw1 rw2)
+                  else if seq0 <> seq1 then
+                    Fail "rewrite sequences differ: naive vs index"
+                  else if seq0 <> seq2 then
+                    Fail "rewrite sequences differ: naive vs plan"
                   else if fp0 <> fp1 then
                     Fail "final graphs differ: naive vs index"
                   else if fp0 <> fp2 then

@@ -4,13 +4,23 @@
     DAG of operator nodes over a signature, with tensor types computed by
     shape inference at construction time. Rewriting is {e destructive}
     (paper, section 2): {!replace} rewires every user of the matched root to
-    the replacement node and the old subgraph becomes garbage, collected by
-    {!gc}.
+    the replacement node and the old subgraph becomes garbage, dropped from
+    the node table by {!free} (from one root, by use count) or {!gc} (the
+    whole table).
+
+    Every node carries its use-list (the reverse edges) and a liveness
+    flag. Both are maintained by each mutation — {!add}, {!set_outputs},
+    {!try_replace}, {!free}, {!gc} — and restored by {!Txn.rollback}, so
+    finding a node's users or whether it is live costs nothing
+    graph-wide.
 
     Invariants maintained (and checked by {!validate}):
     - inputs of a node were created before it in the same graph (acyclic);
     - arities agree with the signature;
-    - every node reachable from an output is in the node table. *)
+    - every node reachable from an output is in the node table;
+    - a live node's use-list holds exactly its live users, one entry per
+      input edge;
+    - a node's [live] flag is true iff it is reachable from an output. *)
 
 open Pypm_term
 open Pypm_tensor
@@ -21,6 +31,11 @@ type node = private {
   mutable inputs : node list;
   mutable attrs : (string * int) list;
   mutable ty : Ty.t option;  (** [None] = opaque to the type system *)
+  mutable users : node list;
+      (** One entry per input edge into this node from a node in the
+          table, live or dead: a user reading the node twice is listed
+          twice. Use {!users} for the distinct live users. *)
+  mutable live : bool;  (** reachable from the outputs *)
 }
 
 type t
@@ -79,7 +94,8 @@ val set_outputs : t -> node list -> unit
 val outputs : t -> node list
 val find_node : t -> int -> node option
 
-(** All nodes in creation order (including garbage until {!gc} runs). *)
+(** All nodes of the node table (including garbage not yet dropped by
+    {!free} or {!gc}), sorted by id, i.e. in creation order. O(n log n). *)
 val nodes : t -> node list
 
 (** Nodes reachable from the outputs, in topological order (inputs before
@@ -87,9 +103,16 @@ val nodes : t -> node list
 val live_nodes : t -> node list
 
 val node_count : t -> int
+
+(** The id the next allocated node will get. Ids increase and are never
+    reused (not even after a rollback), so every node with an id at or
+    above a value read earlier was allocated since. *)
+val next_id : t -> int
+
 val live_count : t -> int
 
-(** [users g n] lists the live nodes that take [n] as an input. *)
+(** [users g n] lists the distinct live nodes that take [n] as an input, by
+    increasing id. Read from [n]'s use-list: O(users), not O(graph). *)
 val users : t -> node -> node list
 
 (** [replace g ~old_root ~new_root] destructively replaces [old_root]:
@@ -100,13 +123,36 @@ val replace : t -> old_root:node -> new_root:node -> unit
 
 (** Non-raising {!replace}: [Error `Cycle] when rewiring would close a
     loop, with the graph untouched — the rewrite engine counts this as a
-    rejected firing and rolls the attempt back instead of dying mid-pass. *)
-val try_replace :
-  t -> old_root:node -> new_root:node -> (unit, [ `Cycle ]) result
+    rejected firing and rolls the attempt back instead of dying mid-pass.
 
-(** Drop unreachable nodes from the node table; returns how many were
-    collected. Raises [Invalid_argument] inside an open transaction: the
-    journal could not undo a collection. *)
+    The cycle test is one DFS from [new_root] looking for a live user of
+    [old_root]. [settled] (default: none) bounds it: the DFS does not enter
+    a node for which [settled] holds. The caller must guarantee that no
+    settled node reaches a live user of [old_root]; the rewrite pass passes
+    its clean old nodes (see [Pass]). The public {!replace} runs the full
+    test.
+
+    Afterwards [new_root] and its cone are live if [old_root] was, and
+    [old_root] — with, transitively, every input left without a live user
+    — is dead, but stays in the node table until {!free} or {!gc}. *)
+val try_replace :
+  ?settled:(node -> bool) ->
+  t ->
+  old_root:node ->
+  new_root:node ->
+  (unit, [ `Cycle ]) result
+
+(** [free g n] drops [n] from the node table if it is dead, then,
+    transitively, every input of a dropped node that is dead too; returns
+    how many were dropped and emits one [Gc] event for them. Cost is
+    proportional to the dropped nodes' edges. Journaled: inside a
+    transaction a rollback puts them back. *)
+val free : t -> node -> int
+
+(** Drop every unreachable node from the node table; returns how many
+    were collected. Recomputes liveness from the outputs (O(nodes +
+    edges)) rather than trusting the flags. Raises [Invalid_argument]
+    inside an open transaction: the journal could not undo a collection. *)
 val gc : t -> int
 
 (** {2 Transactions}
@@ -156,8 +202,9 @@ val count_class : t -> string -> int
 val validate : t -> string list
 
 (** [unsafe_set_inputs n inputs] rewires [n]'s inputs with {e no} arity,
-    declaration, or acyclicity checks — it can corrupt the graph. Intended
-    for tests that manufacture invalid graphs to exercise {!validate}. *)
+    declaration, acyclicity or liveness upkeep (the use-lists are kept) —
+    it can corrupt the graph, and is not journaled. Intended for tests that
+    manufacture invalid graphs to exercise {!validate}. *)
 val unsafe_set_inputs : node -> node list -> unit
 
 val pp_node : Format.formatter -> node -> unit

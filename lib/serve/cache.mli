@@ -6,7 +6,9 @@
     byte-identical to the cold one by construction.
 
     Bounded by total byte size with LRU eviction; an entry larger than
-    the whole bound is silently not cached. All operations are
+    the whole bound is silently not cached. Values are stored outside the
+    OCaml heap, so the bound is also the resident size of the cached
+    bytes; {!find} returns a fresh copy. All operations are
     mutex-serialized and O(1); the cache is shared by every worker
     domain. Hits, misses and evictions are counted and emitted as
     {!Pypm_obs.Obs} events ([Cache_hit] / [Cache_miss] /

@@ -152,6 +152,151 @@ let test_counts () =
   checki "input class count" 1 (Graph.count_class g "input")
 
 (* ------------------------------------------------------------------ *)
+(* Use-lists and liveness                                              *)
+(* ------------------------------------------------------------------ *)
+
+let ids ns = List.map (fun (n : Graph.node) -> n.Graph.id) ns
+let use_ids (n : Graph.node) = List.sort compare (ids n.Graph.users)
+let users_ids g n = ids (Graph.users g n)
+let valid g = Alcotest.(check (list string)) "graph valid" [] (Graph.validate g)
+
+let test_users_after_add () =
+  let _, g = fresh_graph () in
+  let x = Graph.input g ~name:"x" (f32 [ 4 ]) in
+  let r = Graph.add g Std_ops.relu [ x ] in
+  let a = Graph.add g Std_ops.add [ r; r ] in
+  (* one use-list entry per edge, live or not *)
+  Alcotest.(check (list int)) "edge entries" [ a.Graph.id; a.Graph.id ]
+    (use_ids r);
+  Alcotest.(check (list int)) "nothing live before outputs" [] (users_ids g r);
+  checkb "not live" false a.Graph.live;
+  Graph.set_outputs g [ a ];
+  Alcotest.(check (list int)) "distinct live users" [ a.Graph.id ]
+    (users_ids g r);
+  checkb "cone live" true (x.Graph.live && r.Graph.live && a.Graph.live);
+  valid g
+
+let test_users_after_replace () =
+  let g, x, r1, r2 = chain_graph () in
+  Graph.replace g ~old_root:r1 ~new_root:x;
+  Alcotest.(check (list int)) "x read by r2 and (dead) r1"
+    [ r1.Graph.id; r2.Graph.id ] (use_ids x);
+  Alcotest.(check (list int)) "x's live users" [ r2.Graph.id ] (users_ids g x);
+  Alcotest.(check (list int)) "r1 has no users" [] (use_ids r1);
+  checkb "replaced root dead" false r1.Graph.live;
+  checki "still in the table" 3 (Graph.node_count g);
+  valid g;
+  (* an output replaced by a dead node revives that node's cone *)
+  Graph.replace g ~old_root:r2 ~new_root:r1;
+  checkb "r1 live again" true r1.Graph.live;
+  checkb "r2 dead" false r2.Graph.live;
+  Alcotest.(check (list int)) "x's live users now" [ r1.Graph.id ]
+    (users_ids g x);
+  valid g
+
+let test_users_nested_rollback () =
+  let g, x, r1, r2 = chain_graph () in
+  let outer = Graph.Txn.begin_ g in
+  let s = Graph.add g Std_ops.sigmoid [ x ] in
+  Graph.replace g ~old_root:r1 ~new_root:s;
+  let inner = Graph.Txn.begin_ g in
+  let t = Graph.add g Std_ops.relu [ s ] in
+  Graph.replace g ~old_root:r2 ~new_root:t;
+  Alcotest.(check (list int)) "s read by t (live) and r2 (dead)"
+    [ r2.Graph.id; t.Graph.id ] (use_ids s);
+  Alcotest.(check (list int)) "s's live users" [ t.Graph.id ] (users_ids g s);
+  valid g;
+  ignore (Graph.Txn.rollback g inner);
+  Alcotest.(check (list int)) "inner undone: s read by r2" [ r2.Graph.id ]
+    (users_ids g s);
+  Alcotest.(check (list int)) "t's edge gone" [ r2.Graph.id ] (use_ids s);
+  checkb "r2 live again" true r2.Graph.live;
+  valid g;
+  ignore (Graph.Txn.rollback g outer);
+  Alcotest.(check (list int)) "x read by r1 only" [ r1.Graph.id ] (use_ids x);
+  Alcotest.(check (list int)) "r1 read by r2" [ r2.Graph.id ] (use_ids r1);
+  checkb "r1 live again" true r1.Graph.live;
+  checkb "s gone" true (Graph.find_node g s.Graph.id = None);
+  valid g
+
+let test_users_after_free_and_gc () =
+  let g, x, r1, r2 = chain_graph () in
+  (* garbage the graph came with: a dead user of x *)
+  let junk = Graph.add g Std_ops.sigmoid [ x ] in
+  let s = Graph.add g Std_ops.neg [ r1 ] in
+  Graph.replace g ~old_root:r2 ~new_root:s;
+  (* freeing r2 stops at r1, which s still reads *)
+  checki "freed r2 only" 1 (Graph.free g r2);
+  checkb "r2 out of the table" true (Graph.find_node g r2.Graph.id = None);
+  Alcotest.(check (list int)) "r1 read by s" [ s.Graph.id ] (use_ids r1);
+  checki "freeing a live node is a no-op" 0 (Graph.free g r1);
+  valid g;
+  Alcotest.(check (list int)) "x: junk and r1" [ r1.Graph.id; junk.Graph.id ]
+    (List.sort compare (use_ids x));
+  checki "gc collects the junk" 1 (Graph.gc g);
+  Alcotest.(check (list int)) "junk's edge gone" [ r1.Graph.id ] (use_ids x);
+  checki "nodes by id" 3 (List.length (Graph.nodes g));
+  Alcotest.(check (list int)) "nodes sorted by id"
+    [ x.Graph.id; r1.Graph.id; s.Graph.id ] (ids (Graph.nodes g));
+  valid g
+
+let test_free_rolled_back () =
+  let g, x, r1, r2 = chain_graph () in
+  let sp = Graph.Txn.begin_ g in
+  Graph.replace g ~old_root:r2 ~new_root:x;
+  checki "freed the chain" 2 (Graph.free g r2);
+  ignore (Graph.Txn.rollback g sp);
+  checki "all back" 3 (Graph.node_count g);
+  Alcotest.(check (list int)) "x read by r1" [ r1.Graph.id ] (use_ids x);
+  checkb "r2 is the output" true
+    (ids (Graph.outputs g) = [ r2.Graph.id ]);
+  valid g
+
+let test_validate_flags_bookkeeping () =
+  let g, x, r1, _ = chain_graph () in
+  valid g;
+  (* rewiring with the use-lists kept but liveness not: x stays flagged
+     live although nothing reaches it any more *)
+  let c = Graph.constant g 1.0 in
+  Graph.unsafe_set_inputs r1 [ c ];
+  let errs = Graph.validate g in
+  checkb "stale live flag reported" true
+    (List.mem
+       (Printf.sprintf "node %d: live flag is true but the node is unreachable"
+          x.Graph.id)
+       errs)
+
+(* The cycle test bounded by [settled]: the replacement's binding [u] lies
+   outside [f]'s cone and reads [f], so rewiring [f]'s users to it would
+   close a loop. The bound skips only [x], which cannot reach [u]. *)
+let test_bounded_cycle_rejection () =
+  let _, g = fresh_graph () in
+  let x = Graph.input g ~name:"x" (f32 [ 4 ]) in
+  let f = Graph.add g Std_ops.relu [ x ] in
+  let u = Graph.add g Std_ops.add [ f; x ] in
+  let out = Graph.add g Std_ops.neg [ u ] in
+  Graph.set_outputs g [ out ];
+  let settled (n : Graph.node) = n == x in
+  let sp = Graph.Txn.begin_ g in
+  let new_root = Graph.add g Std_ops.sigmoid [ u ] in
+  (match Graph.try_replace ~settled g ~old_root:f ~new_root with
+  | Error `Cycle -> ()
+  | Ok () -> Alcotest.fail "cycle through a binding outside the cone accepted");
+  ignore (Graph.Txn.rollback g sp);
+  Alcotest.(check (list int)) "u still reads f" [ f.Graph.id; x.Graph.id ]
+    (ids u.Graph.inputs);
+  Alcotest.(check (list int)) "f's users untouched" [ u.Graph.id ] (use_ids f);
+  valid g;
+  (* the same bound accepts a replacement that only reads [x] *)
+  let s = Graph.add g Std_ops.sigmoid [ x ] in
+  (match Graph.try_replace ~settled g ~old_root:f ~new_root:s with
+  | Ok () -> ()
+  | Error `Cycle -> Alcotest.fail "acyclic replacement rejected");
+  Alcotest.(check (list int)) "u reads s" [ s.Graph.id; x.Graph.id ]
+    (ids u.Graph.inputs);
+  valid g
+
+(* ------------------------------------------------------------------ *)
 (* Term view                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -283,6 +428,21 @@ let () =
           Alcotest.test_case "shared input replace" `Quick
             test_shared_input_replace;
           Alcotest.test_case "counts" `Quick test_counts;
+        ] );
+      ( "use-lists",
+        [
+          Alcotest.test_case "users after add" `Quick test_users_after_add;
+          Alcotest.test_case "users after replace" `Quick
+            test_users_after_replace;
+          Alcotest.test_case "users after nested rollback" `Quick
+            test_users_nested_rollback;
+          Alcotest.test_case "users after free and gc" `Quick
+            test_users_after_free_and_gc;
+          Alcotest.test_case "free rolled back" `Quick test_free_rolled_back;
+          Alcotest.test_case "validate flags stale bookkeeping" `Quick
+            test_validate_flags_bookkeeping;
+          Alcotest.test_case "bounded cycle rejection" `Quick
+            test_bounded_cycle_rejection;
         ] );
       ( "term-view",
         [

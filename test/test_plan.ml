@@ -247,33 +247,106 @@ let graph_hash g =
     (Pypm.Graph.outputs g);
   Hashtbl.hash (Buffer.contents buf)
 
+(* The rewrite sequence of a pass: pattern, rule, matched and replacement
+   node ids per firing. *)
+let rewrite_sequence (stats : Pypm.Pass.stats) =
+  String.concat ";"
+    (List.map
+       (fun (p : Pypm.Obs.Provenance.step) ->
+         Printf.sprintf "%s|%s|%d|%d" p.pattern p.rule p.matched_root
+           p.replacement_root)
+       stats.Pypm.Pass.provenance)
+
+let run_model engine (m : Pypm.Zoo.model) =
+  let open Pypm in
+  let env, g = m.Zoo.build () in
+  let stats =
+    Pass.run_cfg
+      ~config:{ Pass.Config.default with Pass.Config.engine = Some engine }
+      (Corpus.both_program env.Std_ops.sg)
+      g
+  in
+  (stats, g)
+
 let test_incremental_fixpoint_equivalence () =
   let open Pypm in
   List.iter
     (fun (m : Zoo.model) ->
       let run engine =
-        let env, g = m.Zoo.build () in
-        let stats =
-          Pass.run_cfg
-            ~config:
-              {
-                Pass.Config.default with
-                Pass.Config.engine = Some engine;
-              }
-            (Corpus.both_program env.Std_ops.sg)
-            g
-        in
-        (stats, graph_hash g)
+        let stats, g = run_model engine m in
+        (stats, rewrite_sequence stats, graph_hash g)
       in
-      let s_full, h_full = run Pass.Naive in
-      let s_plan, h_plan = run Pass.Plan in
+      let s_full, q_full, h_full = run Pass.Naive in
+      let _, q_idx, h_idx = run Pass.Index in
+      let s_plan, q_plan, h_plan = run Pass.Plan in
       if s_full.Pass.total_rewrites <> s_plan.Pass.total_rewrites then
         Alcotest.failf "%s: rewrites differ (full %d, plan %d)" m.Zoo.mname
           s_full.Pass.total_rewrites s_plan.Pass.total_rewrites;
-      if h_full <> h_plan then
+      if q_full <> q_idx then
+        Alcotest.failf "%s: rewrite sequences differ (naive vs index)"
+          m.Zoo.mname;
+      if q_full <> q_plan then
+        Alcotest.failf "%s: rewrite sequences differ (naive vs plan)"
+          m.Zoo.mname;
+      if h_full <> h_idx || h_full <> h_plan then
         Alcotest.failf "%s: final graphs differ" m.Zoo.mname;
       checkb "plan reached fixpoint" true s_plan.Pass.reached_fixpoint)
     (Zoo.all ())
+
+(* The plan engine's rewrite sequence and result on two full models,
+   pinned as digests of the provenance (the [rewrite_sequence] string)
+   and of [Fuzz.fingerprint], together with its counters. Any change to
+   firing order, sharing or collection shows here. *)
+let test_pinned_rewrite_sequence () =
+  let open Pypm in
+  List.iter
+    (fun (name, rewrites, iterations, visited, collected, seq_md5, fp_md5) ->
+      let stats, g = run_model Pass.Plan (Option.get (Zoo.find name)) in
+      let hex s = Digest.to_hex (Digest.string s) in
+      checki (name ^ " rewrites") rewrites stats.Pass.total_rewrites;
+      checki (name ^ " iterations") iterations stats.Pass.iterations;
+      checki (name ^ " nodes visited") visited stats.Pass.nodes_visited;
+      checki (name ^ " collected") collected stats.Pass.collected;
+      Alcotest.(check string)
+        (name ^ " provenance digest") seq_md5
+        (hex (rewrite_sequence stats));
+      Alcotest.(check string)
+        (name ^ " fingerprint digest") fp_md5
+        (hex (Fuzz.fingerprint g)))
+    [
+      ( "bert-base", 36, 37, 495, 204, "7e5a762aa121e1d16c999fe267e53df7",
+        "4fe9ef2aa385ca85a4886c815bb28e19" );
+      ( "gpt2-medium", 48, 49, 659, 272, "e4928d1d74c5f3ec1829e291ce3356bf",
+        "96c87aec9d833e741c74f4322187295a" );
+    ]
+
+(* A rewrite whose replacement is an old node the scan has already
+   finished: MulOne turns [m = Mul(x, 1)] into [x], which [a = Relu(x)]
+   also reads, and [a] was scanned (and cleaned) before [m]. The rewrite
+   makes [x] and [a] dirty again, so the next iteration visits
+   x, a, n: 4 + 3 visits, as a full traversal from the outputs does. *)
+let test_old_replacement_rescanned () =
+  let open Pypm in
+  let env = Std_ops.make () in
+  let g = Graph.create ~sg:env.Std_ops.sg ~infer:env.Std_ops.infer () in
+  let x = Graph.input g ~name:"x" (Ty.make Dtype.F32 [ 4 ]) in
+  let a = Graph.add g Std_ops.relu [ x ] in
+  let m = Graph.add g Std_ops.mul [ x; Graph.constant g 1.0 ] in
+  let n = Graph.add g Std_ops.neg [ m ] in
+  Graph.set_outputs g [ a; n ];
+  let stats =
+    Pass.run_cfg
+      ~config:{ Pass.Config.default with Pass.Config.engine = Some Pass.Plan }
+      (Corpus.cleanup_program env.Std_ops.sg)
+      g
+  in
+  checki "one rewrite" 1 stats.Pass.total_rewrites;
+  checki "two iterations" 2 stats.Pass.iterations;
+  checki "x, a, 1, m then x, a, n" 7 stats.Pass.nodes_visited;
+  checki "m and the constant collected" 2 stats.Pass.collected;
+  Alcotest.(check (list int)) "n reads x" [ x.Graph.id ]
+    (List.map (fun (i : Graph.node) -> i.Graph.id) n.Graph.inputs);
+  Alcotest.(check (list string)) "graph valid" [] (Graph.validate g)
 
 (* The plan engine runs the backtracking matcher strictly less than the
    root-head index, and accounts pruning distinctly from index skips. *)
@@ -337,6 +410,10 @@ let () =
         ] );
       ( "incremental",
         [
+          Alcotest.test_case "pinned rewrite sequence" `Quick
+            test_pinned_rewrite_sequence;
+          Alcotest.test_case "old replacement rescanned" `Quick
+            test_old_replacement_rescanned;
           Alcotest.test_case "fixpoint equivalence on every zoo model" `Slow
             test_incremental_fixpoint_equivalence;
           Alcotest.test_case "plan prunes more than the index" `Quick
