@@ -92,7 +92,7 @@ module Surface = Pypm_surface.Surface
 module Codec = Pypm_serialize.Codec
 module Protocol = Pypm_serialize.Protocol
 module Cache = Pypm_serve.Cache
-module Pool = Pypm_parallel.Pool
+module Pool = Pypm_serve.Pool
 module Server = Pypm_serve.Server
 module Load = Pypm_serve.Load
 module Chaos = Pypm_serve.Chaos

@@ -206,6 +206,7 @@ type rctx = {
   rdeadline_budget : float; (* as requested, for the event *)
   rcheck_types : bool;
   rfuel : int;
+  rstart : float; (* [now ()] when the run started *)
 }
 
 let check_deadline rc =
@@ -235,13 +236,12 @@ type ectx = {
 }
 
 (* One (breaker, stats-record) slot per program entry, shared by every
-   engine the ladder tries: strikes survive a mid-pass degradation. *)
-let entry_slots ~quarantine_after (program : Program.t) stats =
-  List.map2
-    (fun (e : Program.entry) ps ->
-      ignore e;
-      (Breaker.create ~threshold:quarantine_after, ps))
-    program.Program.entries stats.per_pattern
+   engine the ladder tries: strikes and counts survive a mid-pass
+   degradation. *)
+let entry_slots ~quarantine_after stats =
+  List.map
+    (fun ps -> (Breaker.create ~threshold:quarantine_after, ps))
+    stats.per_pattern
 
 let contexts ~prefilter (program : Program.t) slots =
   List.map2
@@ -287,15 +287,17 @@ let rule_error rc (c : ectx) err =
   end
 
 (* Try to match one pattern at one node with the backtracking matcher.
-   Every attempt, prune, and fuel exhaustion emits an obs event; the
-   per-pattern statistics are aggregated from those events. Quarantined
-   patterns are skipped outright. *)
+   Every attempt, prune, and fuel exhaustion is counted in the entry's
+   stats record and emits an obs event. Quarantined patterns are skipped
+   outright. *)
 let try_match rc view (c : ectx) (node : Graph.node) =
   let pname = c.entry.Program.pname in
+  let ps = c.epstats in
   if Breaker.tripped c.breaker then None
   else
     match c.heads with
     | Some heads when not (Pypm_term.Symbol.Set.mem node.Graph.op heads) ->
+        ps.skipped <- ps.skipped + 1;
         Obs.emit ~node:node.Graph.id
           (Obs.Pruned { pattern = pname; via = Obs.Head_index });
         None
@@ -311,9 +313,13 @@ let try_match rc view (c : ectx) (node : Graph.node) =
             c.entry.Program.pattern t
         in
         let dur = now () -. t0 in
+        ps.attempts <- ps.attempts + 1;
+        ps.match_time <- ps.match_time +. dur;
         let obs_outcome =
           match outcome with
-          | Outcome.Matched _ -> Obs.Matched
+          | Outcome.Matched _ ->
+              ps.matches <- ps.matches + 1;
+              Obs.Matched
           | Outcome.No_match -> Obs.No_match
           | Outcome.Stuck -> Obs.Stuck
           | Outcome.Out_of_fuel -> Obs.Out_of_fuel
@@ -338,6 +344,8 @@ let try_match rc view (c : ectx) (node : Graph.node) =
                    counted as fuel_exhausted, not as a no-match; raise ~fuel \
                    if this keeps happening"
                   pname node.Graph.id fuel);
+            ps.fuel_exhausted <- ps.fuel_exhausted + 1;
+            rc.rstats.fuel_exhausted <- rc.rstats.fuel_exhausted + 1;
             Obs.emit ~node:node.Graph.id
               (Obs.Fuel_exhausted { pattern = pname; fuel });
             strike rc c;
@@ -365,6 +373,7 @@ let symbol_strings syms = List.map (fun (s : Pypm_term.Symbol.t) -> (s :> string
 let fire ?settled rc g view (c : ectx) node theta phi =
   let stats = rc.rstats in
   let pname = c.entry.Program.pname in
+  let ps = c.epstats in
   let rec try_rules = function
     | [] -> None
     | (r : Rule.t) :: rest -> (
@@ -386,6 +395,7 @@ let fire ?settled rc g view (c : ectx) node theta phi =
               (Guard_raised { pattern = pname; rule = r.Rule.rule_name; reason });
             try_rules rest
         | Ok false ->
+            ps.guard_rejections <- ps.guard_rejections + 1;
             Obs.emit ~node:node.Graph.id
               (Obs.Guard_reject { pattern = pname; rule = r.Rule.rule_name });
             try_rules rest
@@ -394,6 +404,7 @@ let fire ?settled rc g view (c : ectx) node theta phi =
             let rollback reason =
               let undone = Graph.Txn.rollback g sp in
               stats.rolled_back <- stats.rolled_back + 1;
+              ps.rolled_back <- ps.rolled_back + 1;
               Obs.emit ~node:node.Graph.id
                 (Obs.Rolled_back
                    { pattern = pname; rule = r.Rule.rule_name; reason; undone })
@@ -476,6 +487,7 @@ let fire ?settled rc g view (c : ectx) node theta phi =
                         }
                         :: stats.provenance;
                       stats.total_rewrites <- stats.total_rewrites + 1;
+                      ps.rewrites <- ps.rewrites + 1;
                       Obs.emit ~node:node.Graph.id
                         (Obs.Rule_fired
                            {
@@ -537,16 +549,25 @@ let compile_plan (program : Program.t) =
 (* Per-entry plan context, fixed at compile time: compiled entries read
    their witness out of the shared trie walk, fallback entries run the
    backtracking matcher behind their root-head prefilter. Positional, not
-   name-keyed: [Plan.kinds] preserves input order. *)
+   name-keyed: [Plan.kinds] preserves input order.
+
+   Built once per run, when the run settles on the plan, so this is where
+   each compiled entry is credited with the branches the compiler dropped
+   statically because an earlier branch of the same pattern subsumes them
+   ([Plan.pruned]); [plan_match_at] adds the dynamic trie prunes. *)
 type plan_entry = Trie of ectx | Backtrack of ectx
 
 let plan_contexts plan (program : Program.t) slots =
+  let static_pruned = Plan.pruned plan in
   List.map2
     (fun ((e : Program.entry), (breaker, ps))
          ((kname, k) : string * Plan.entry_kind) ->
       assert (String.equal kname e.Program.pname);
       match k with
       | Plan.Compiled _ ->
+          Option.iter
+            (fun n -> ps.plan_pruned <- ps.plan_pruned + n)
+            (List.assoc_opt kname static_pruned);
           Trie { entry = e; heads = None; breaker; epstats = ps }
       | Plan.Fallback heads -> Backtrack { entry = e; heads; breaker; epstats = ps })
     (List.combine program.Program.entries slots)
@@ -575,10 +596,12 @@ let plan_match_at rc ~plan ~pctxs view node ~on_match =
               else (
                 match List.assoc_opt c.entry.Program.pname results with
                 | Some (theta, phi) ->
+                    c.epstats.matches <- c.epstats.matches + 1;
                     Obs.emit ~node:node.Graph.id
                       (Obs.Plan_match { pattern = c.entry.Program.pname });
                     (c, Some (theta, phi))
                 | None ->
+                    c.epstats.plan_pruned <- c.epstats.plan_pruned + 1;
                     Obs.emit ~node:node.Graph.id
                       (Obs.Pruned
                          {
@@ -791,20 +814,12 @@ let prepare_engine rc (p : prepared) slots =
     if Inject.fires rc.rinject Inject.Plan_compile then
       Error "injected fault: engine preparation failed"
     else
+      (* [prepare_cfg] compiled the plan for [Plan] and [Egraph], the only
+         rungs that reach here, and the ladder never steps up *)
       let planned () =
-        let compiled =
-          match p.p_plan with
-          | Some r -> r
-          | None -> (
-              (* prepared for a simpler engine but degraded upward never
-                 happens; this arm only serves direct requests *)
-              match compile_plan program with
-              | plan -> Ok plan
-              | exception exn -> Error (Printexc.to_string exn))
-        in
-        match compiled with
-        | Ok plan -> Ok (Planned (plan, plan_contexts plan program slots))
-        | Error reason -> Error reason
+        Result.map
+          (fun plan -> Planned (plan, plan_contexts plan program slots))
+          (Option.get p.p_plan)
       in
       match e with
       | Egraph ->
@@ -846,127 +861,95 @@ let prepare_engine rc (p : prepared) slots =
 (* Entry points                                                        *)
 (* ------------------------------------------------------------------ *)
 
-(* Pull the per-pattern numbers out of the event aggregator: the events
-   are the single source of truth, the mutable records are the snapshot
-   handed to the caller. ([quarantined] is set directly by the breaker,
-   not derived from events.) *)
-let finalize (program : Program.t) agg stats =
-  List.iter2
-    (fun (e : Program.entry) ps ->
-      match Obs.Agg.find agg e.Program.pname with
-      | None -> ()
-      | Some (a : Obs.Agg.pat) ->
-          ps.attempts <- a.Obs.Agg.attempts;
-          ps.skipped <- a.Obs.Agg.pruned_head;
-          ps.plan_pruned <- a.Obs.Agg.pruned_plan;
-          ps.matches <- a.Obs.Agg.matches;
-          ps.rewrites <- a.Obs.Agg.rewrites;
-          ps.fuel_exhausted <- a.Obs.Agg.fuel_exhausted;
-          ps.guard_rejections <- a.Obs.Agg.guard_rejects;
-          ps.rolled_back <- a.Obs.Agg.rolled_back;
-          ps.match_time <- a.Obs.Agg.match_time)
-    program.Program.entries stats.per_pattern;
-  stats.fuel_exhausted <-
-    List.fold_left
-      (fun acc (ps : pattern_stats) -> acc + ps.fuel_exhausted)
-      0 stats.per_pattern;
+(* The per-run state both entry points start from: fresh stats stamped
+   with the run's engine and configuration, the run context (a deadline
+   counts from here) and one slot per program entry. *)
+let start_run (config : Config.t) engine (program : Program.t) =
+  let stats = fresh_stats program in
+  stats.engine_used <- engine_name engine;
+  stats.engine_requested <- engine_name engine;
+  stats.cfg_check_types <- config.Config.check_types;
+  stats.cfg_fuel <- config.Config.fuel;
+  stats.cfg_max_rewrites <- config.Config.max_rewrites;
+  let t_start = now () in
+  let rc =
+    {
+      rstats = stats;
+      rinject = config.Config.inject;
+      ron_error = config.Config.on_error;
+      rdeadline = Option.map (fun d -> t_start +. d) config.Config.deadline_s;
+      rdeadline_budget = Option.value ~default:0. config.Config.deadline_s;
+      rcheck_types = config.Config.check_types;
+      rfuel = config.Config.fuel;
+      rstart = t_start;
+    }
+  in
+  (rc, entry_slots ~quarantine_after:config.Config.quarantine_after stats)
+
+(* Close a run: its wall time, and the two logs in occurrence order. *)
+let finalize rc =
+  let stats = rc.rstats in
+  stats.wall_time <- now () -. rc.rstart;
   stats.errors <- List.rev stats.errors;
   stats.provenance <- List.rev stats.provenance
 
 let run_prepared_cfg ?(config = Config.default) (p : prepared) g =
-  let { Config.check_types; fuel; max_rewrites; deadline_s; quarantine_after;
-        inject; on_error; _ } = config in
   let program = p.p_program in
-  let stats = fresh_stats program in
-  let agg = Obs.Agg.create () in
-  stats.engine_used <- engine_name p.p_engine;
-  stats.engine_requested <- engine_name p.p_engine;
-  stats.cfg_check_types <- check_types;
-  stats.cfg_fuel <- fuel;
-  stats.cfg_max_rewrites <- max_rewrites;
   Obs.emit
     (Obs.Pass_begin
        {
          engine = engine_name p.p_engine;
          patterns = List.length program.Program.entries;
        });
-  let t_start = now () in
-  let rc =
-    {
-      rstats = stats;
-      rinject = inject;
-      ron_error = on_error;
-      rdeadline = Option.map (fun d -> t_start +. d) deadline_s;
-      rdeadline_budget = Option.value ~default:0. deadline_s;
-      rcheck_types = check_types;
-      rfuel = fuel;
-    }
-  in
-  let slots = entry_slots ~quarantine_after program stats in
-  let used_plan = ref None in
-  Obs.with_sink (Obs.Agg.sink agg) (fun () ->
-      (try
-         match prepare_engine rc p slots with
-         | Scan ctxs -> run_scan rc ~max_rewrites ctxs g
-         | Planned (plan, pctxs) ->
-             used_plan := Some plan;
-             run_plan rc ~max_rewrites plan pctxs g
-       with Aborted -> ());
-      (* The loop frees by use count; one full collection when it is left,
-         at a fixpoint or not, drops what use counts cannot see (garbage
-         the graph came with, dead nodes a rule built beside its
-         replacement). Skipped without a rewrite, where nothing changed,
-         and inside a caller's transaction, which gc cannot journal. *)
-      if stats.total_rewrites > 0 && not (Graph.Txn.active g) then
-        stats.collected <- stats.collected + Graph.gc g;
-      (* The e-graph engine's saturation post-phase: runs after the greedy
-         pass (never instead of it) and commits only strict whole-graph
-         cost improvements, so the result is never costlier than the Plan
-         engine's on the same input. Skipped when the pass already aborted
-         (deadline, fatal) or the ladder degraded below Egraph. The
-         remaining wall-clock budget becomes the phase's polled anytime
-         deadline: it never raises, it stops saturating. *)
-      if
-        stats.fatal = None
-        && (not stats.deadline_hit)
-        && String.equal stats.engine_used (engine_name Egraph)
-      then begin
-        let deadline () =
-          match rc.rdeadline with Some d -> now () > d | None -> false
-        in
-        match Eqsat.phase ~deadline program g with
-        | Error _ -> ()
-        | Ok (o : Eqsat.outcome) ->
-            stats.sat_iterations <- o.sat.Pypm_egraph.Saturate.iterations;
-            stats.sat_unions <- o.sat.applications;
-            stats.sat_skipped_rules <- o.rules_skipped;
-            stats.sat_classes <- o.sat.final_classes;
-            stats.sat_nodes <- o.sat.final_nodes;
-            stats.sat_extracted <- o.extracted;
-            stats.sat_spliced <- o.spliced;
-            stats.sat_rejected <- o.splices_rejected;
-            stats.sat_stop <-
-              Pypm_egraph.Saturate.stop_reason_name o.sat.stop_reason;
-            stats.sat_cost_before <- o.cost_before;
-            stats.sat_cost_after <- o.cost_after;
-            stats.total_rewrites <- stats.total_rewrites + o.spliced;
-            stats.collected <- stats.collected + o.collected
-      end);
-  stats.wall_time <- now () -. t_start;
-  finalize program agg stats;
-  (* Static subsumption pruning: branches the plan compiler dropped
-     because an earlier branch of the same pattern subsumes them. They
-     join the dynamic per-pattern [plan_pruned] counter AFTER [finalize]
-     (which overwrites the record from the event aggregator). *)
-  (match !used_plan with
-  | Some plan ->
-      List.iter
-        (fun (name, n) ->
-          match find_pattern_stats stats name with
-          | Some ps -> ps.plan_pruned <- ps.plan_pruned + n
-          | None -> ())
-        (Plan.pruned plan)
-  | None -> ());
+  let rc, slots = start_run config p.p_engine program in
+  let stats = rc.rstats in
+  (try
+     match prepare_engine rc p slots with
+     | Scan ctxs -> run_scan rc ~max_rewrites:config.Config.max_rewrites ctxs g
+     | Planned (plan, pctxs) ->
+         run_plan rc ~max_rewrites:config.Config.max_rewrites plan pctxs g
+   with Aborted -> ());
+  (* The loop frees by use count; one full collection when it is left,
+     at a fixpoint or not, drops what use counts cannot see (garbage
+     the graph came with, dead nodes a rule built beside its
+     replacement). Skipped without a rewrite, where nothing changed,
+     and inside a caller's transaction, which gc cannot journal. *)
+  if stats.total_rewrites > 0 && not (Graph.Txn.active g) then
+    stats.collected <- stats.collected + Graph.gc g;
+  (* The e-graph engine's saturation post-phase: runs after the greedy
+     pass (never instead of it) and commits only strict whole-graph
+     cost improvements, so the result is never costlier than the Plan
+     engine's on the same input. Skipped when the pass already aborted
+     (deadline, fatal) or the ladder degraded below Egraph. The
+     remaining wall-clock budget becomes the phase's polled anytime
+     deadline: it never raises, it stops saturating. *)
+  if
+    stats.fatal = None
+    && (not stats.deadline_hit)
+    && String.equal stats.engine_used (engine_name Egraph)
+  then begin
+    let deadline () =
+      match rc.rdeadline with Some d -> now () > d | None -> false
+    in
+    match Eqsat.phase ~deadline program g with
+    | Error _ -> ()
+    | Ok (o : Eqsat.outcome) ->
+        stats.sat_iterations <- o.sat.Pypm_egraph.Saturate.iterations;
+        stats.sat_unions <- o.sat.applications;
+        stats.sat_skipped_rules <- o.rules_skipped;
+        stats.sat_classes <- o.sat.final_classes;
+        stats.sat_nodes <- o.sat.final_nodes;
+        stats.sat_extracted <- o.extracted;
+        stats.sat_spliced <- o.spliced;
+        stats.sat_rejected <- o.splices_rejected;
+        stats.sat_stop <-
+          Pypm_egraph.Saturate.stop_reason_name o.sat.stop_reason;
+        stats.sat_cost_before <- o.cost_before;
+        stats.sat_cost_after <- o.cost_after;
+        stats.total_rewrites <- stats.total_rewrites + o.spliced;
+        stats.collected <- stats.collected + o.collected
+  end;
+  finalize rc;
   Obs.emit
     (Obs.Pass_end
        { rewrites = stats.total_rewrites; iterations = stats.iterations });
@@ -984,67 +967,45 @@ let run_result_cfg ?(config = Config.default) program g =
 let provenance stats = stats.provenance
 
 let match_only_cfg ?(config = Config.default) (program : Program.t) g =
-  let { Config.engine; fuel; _ } = config in
-  let stats = fresh_stats program in
-  let agg = Obs.Agg.create () in
-  let t_start = now () in
+  let e = resolve_engine config.Config.engine in
+  (* one matching sweep: no rewrites, faults, deadline or quarantine *)
+  let rc, slots =
+    start_run
+      {
+        config with
+        Config.check_types = true;
+        max_rewrites = 0;
+        deadline_s = None;
+        quarantine_after = max_int;
+        inject = Inject.none;
+        on_error = `Quarantine;
+      }
+      e program
+  in
+  let stats = rc.rstats in
   stats.iterations <- 1;
-  let e = resolve_engine engine in
-  stats.engine_used <- engine_name e;
-  stats.engine_requested <- engine_name e;
-  stats.cfg_check_types <- true;
-  stats.cfg_fuel <- fuel;
-  stats.cfg_max_rewrites <- 0;
-  let used_plan = ref None in
-  let rc =
-    {
-      rstats = stats;
-      rinject = Inject.none;
-      ron_error = `Quarantine;
-      rdeadline = None;
-      rdeadline_budget = 0.;
-      rcheck_types = true;
-      rfuel = fuel;
-    }
-  in
-  let slots =
-    entry_slots ~quarantine_after:max_int
-      program stats
-  in
-  Obs.with_sink (Obs.Agg.sink agg) (fun () ->
-      let view = Term_view.create g in
-      match e with
-      | Plan | Egraph ->
-          (* matching is phase-free: the e-graph engine matches exactly
-             as Plan does *)
-          let plan = compile_plan program in
-          used_plan := Some plan;
-          let pctxs = plan_contexts plan program slots in
-          List.iter
-            (fun node ->
-              ignore
-                (plan_match_at rc ~plan ~pctxs view node
-                   ~on_match:(fun _ _ -> None)))
-            (Graph.live_nodes g)
-      | (Naive | Index) as e ->
-          let ctxs = contexts ~prefilter:(e = Index) program slots in
-          List.iter
-            (fun node ->
-              stats.nodes_visited <- stats.nodes_visited + 1;
-              List.iter (fun c -> ignore (try_match rc view c node)) ctxs)
-            (Graph.live_nodes g));
-  stats.reached_fixpoint <- true;
-  stats.wall_time <- now () -. t_start;
-  finalize program agg stats;
-  (match !used_plan with
-  | Some plan ->
+  let view = Term_view.create g in
+  (match e with
+  | Plan | Egraph ->
+      (* matching is phase-free: the e-graph engine matches exactly
+         as Plan does *)
+      let plan = compile_plan program in
+      let pctxs = plan_contexts plan program slots in
       List.iter
-        (fun (name, n) ->
-          match find_pattern_stats stats name with
-          | Some ps -> ps.plan_pruned <- ps.plan_pruned + n
-          | None -> ())
-        (Plan.pruned plan)
-  | None -> ());
+        (fun node ->
+          ignore
+            (plan_match_at rc ~plan ~pctxs view node
+               ~on_match:(fun _ _ -> None)))
+        (Graph.live_nodes g)
+  | (Naive | Index) as e ->
+      let ctxs = contexts ~prefilter:(e = Index) program slots in
+      List.iter
+        (fun node ->
+          stats.nodes_visited <- stats.nodes_visited + 1;
+          List.iter (fun c -> ignore (try_match rc view c node)) ctxs)
+        (Graph.live_nodes g));
+  stats.reached_fixpoint <- true;
+  finalize rc;
   stats
 
 let matches_of ?(fuel = 200_000) (program : Program.t) g =

@@ -231,6 +231,12 @@ type stats = {
       (** simulated whole-graph seconds before the post-phase *)
   mutable sat_cost_after : float;  (** ... and after; never greater *)
   per_pattern : pattern_stats list;
+      (** one record per program entry, in program order. The pass counts
+          into each record where the thing happens (an attempt, a prune, a
+          firing), beside the {!Pypm_obs.Obs} event that narrates it; the
+          records are the statistics, not a summary of the events. A test
+          and the [crash_safety] fuzz property check that a capture of the
+          events agrees with them ([Fuzz.counter_mismatches]). *)
 }
 
 (** Name-keyed lookup into [per_pattern]. Unambiguous because

@@ -5,6 +5,7 @@ open Pypm_engine
 module P = Pattern
 module Graph = Pypm_graph.Graph
 module Plan = Pypm_plan.Plan
+module Obs = Pypm_obs.Obs
 module Codec = Pypm_serialize.Codec
 module Surface = Pypm_surface.Surface
 module Lexer = Pypm_surface.Lexer
@@ -236,7 +237,7 @@ let engine_names = [ (Pass.Naive, "naive"); (Pass.Index, "index"); (Pass.Plan, "
    the matched and replacement node ids. *)
 let rewrite_sequence (stats : Pass.stats) =
   List.map
-    (fun (p : Pypm_obs.Obs.Provenance.step) ->
+    (fun (p : Obs.Provenance.step) ->
       (p.pattern, p.rule, p.matched_root, p.replacement_root))
     stats.Pass.provenance
 
@@ -368,12 +369,99 @@ let graph_validate recipe =
 (* Fault-injection properties                                          *)
 (* ------------------------------------------------------------------ *)
 
+(* The pass counts each per-pattern statistic where it happens and emits
+   an event beside it; recount the counters from a capture of exactly the
+   run that produced [stats] and list every disagreement. The static share
+   of [plan_pruned] (branches [Plan.compile] dropped as subsumed) has no
+   event; it is taken from a fresh compile when the run used the plan. *)
+let counter_mismatches (prog : Program.t) (stats : Pass.stats) events =
+  (* (pattern, counter) -> recount, in floats so [match_time] fits too *)
+  let tally = Hashtbl.create 64 in
+  let add pattern field v =
+    let k = (pattern, field) in
+    Hashtbl.replace tally k
+      (v +. Option.value ~default:0. (Hashtbl.find_opt tally k))
+  in
+  let bump pattern field = add pattern field 1. in
+  List.iter
+    (fun (e : Obs.event) ->
+      match e.Obs.kind with
+      | Obs.Match_attempt { pattern; outcome; _ } ->
+          bump pattern "attempts";
+          add pattern "match_time" e.Obs.dur;
+          if outcome = Obs.Matched then bump pattern "matches"
+      | Obs.Pruned { pattern; via = Obs.Head_index } -> bump pattern "skipped"
+      | Obs.Pruned { pattern; via = Obs.Plan_trie } ->
+          bump pattern "plan_pruned"
+      | Obs.Plan_match { pattern } -> bump pattern "matches"
+      | Obs.Fuel_exhausted { pattern; _ } -> bump pattern "fuel_exhausted"
+      | Obs.Guard_reject { pattern; _ } -> bump pattern "guard_rejections"
+      | Obs.Type_reject { pattern; _ } -> bump pattern "type_rejections"
+      | Obs.Cycle_rejected { pattern; _ } -> bump pattern "cycle_rejections"
+      | Obs.Rule_fired { pattern; _ } -> bump pattern "rewrites"
+      | Obs.Rolled_back { pattern; _ } -> bump pattern "rolled_back"
+      | Obs.Quarantined { pattern; _ } -> bump pattern "quarantined"
+      | _ -> ())
+    events;
+  let counted pattern field =
+    Option.value ~default:0. (Hashtbl.find_opt tally (pattern, field))
+  in
+  let total field =
+    Hashtbl.fold (fun (_, f) v acc -> if f = field then acc +. v else acc) tally 0.
+  in
+  let static_pruned =
+    if List.mem stats.Pass.engine_used [ "plan"; "egraph" ] then
+      Plan.pruned
+        (Plan.compile
+           (List.map
+              (fun (e : Program.entry) -> (e.Program.pname, e.Program.pattern))
+              prog.Program.entries))
+    else []
+  in
+  let differ who (field, kept) events =
+    if Float.equal kept events then None
+    else
+      Some (Printf.sprintf "%s %s: stats %.9g, events %.9g" who field kept events)
+  in
+  let n = float_of_int in
+  List.concat_map
+    (fun (ps : Pass.pattern_stats) ->
+      let name = ps.Pass.ps_name in
+      let static = Option.value ~default:0 (List.assoc_opt name static_pruned) in
+      List.filter_map
+        (fun ((field, _) as kept) -> differ name kept (counted name field))
+        [
+          ("attempts", n ps.Pass.attempts);
+          ("skipped", n ps.Pass.skipped);
+          ("plan_pruned", n (ps.Pass.plan_pruned - static));
+          ("matches", n ps.Pass.matches);
+          ("rewrites", n ps.Pass.rewrites);
+          ("fuel_exhausted", n ps.Pass.fuel_exhausted);
+          ("guard_rejections", n ps.Pass.guard_rejections);
+          ("rolled_back", n ps.Pass.rolled_back);
+          ("quarantined", n (Bool.to_int ps.Pass.quarantined));
+          ("match_time", ps.Pass.match_time);
+        ])
+    stats.Pass.per_pattern
+  @ List.filter_map
+      (fun ((field, _) as kept) -> differ "pass" kept (total field))
+      [
+        ("rewrites", n (stats.Pass.total_rewrites - stats.Pass.sat_spliced));
+        ("fuel_exhausted", n stats.Pass.fuel_exhausted);
+        ("type_rejections", n stats.Pass.type_rejections);
+        ("cycle_rejections", n stats.Pass.cycle_rejections);
+        ("rolled_back", n stats.Pass.rolled_back);
+        ("quarantined", n stats.Pass.quarantined);
+      ]
+
 (* Crash safety: under ANY seeded fault schedule — failed instantiates,
    raising guards, fuel cuts, forced cycle rejections, poisoned engine
    preparation — the pass neither raises nor leaves the graph invalid, on
    every engine. Rolled-back firings, quarantines, degradations and even a
    fatal [Engine_unavailable] are all acceptable outcomes; a torn graph or
-   an escaped exception is not (the latter is caught by [protect]). *)
+   an escaped exception is not (the latter is caught by [protect]). The
+   stats of every such run must also agree with its event stream
+   ([counter_mismatches]). *)
 let crash_safety (r : Gen.graph_recipe) =
   let rate = 0.3 in
   let failure =
@@ -386,18 +474,30 @@ let crash_safety (r : Gen.graph_recipe) =
             let inject =
               Inject.seeded ~seed:((r.Gen.gr_seed * 7919) + 17) ~rate ()
             in
-            let _stats =
-              Pass.run_cfg
-                ~config:
-                  { (with_engine engine) with inject; quarantine_after = 3 }
-                prog g
+            let capture = Obs.Collector.create () in
+            let stats =
+              Obs.with_sink (Obs.Collector.sink capture)
+                (fun () ->
+                  Pass.run_cfg
+                    ~config:
+                      { (with_engine engine) with inject; quarantine_after = 3 }
+                    prog g)
             in
             match Graph.validate g with
-            | [] -> None
-            | errs ->
+            | _ :: _ as errs ->
                 Some
                   (Printf.sprintf "%s engine left an invalid graph: %s" ename
-                     (String.concat "; " errs))))
+                     (String.concat "; " errs))
+            | [] -> (
+                match
+                  counter_mismatches prog stats (Obs.Collector.events capture)
+                with
+                | [] -> None
+                | diffs ->
+                    Some
+                      (Printf.sprintf
+                         "%s engine's counters disagree with its events: %s"
+                         ename (String.concat "; " diffs)))))
       None engine_names
   in
   match failure with Some msg -> Fail msg | None -> Pass

@@ -22,7 +22,8 @@
       graph is isomorphic to the plan engine's;
     - [crash_safety]: under any seeded fault-injection schedule
       ({!Pypm_resilience.Resilience.Inject}) the pass neither raises nor
-      leaves an invalid graph, on every engine;
+      leaves an invalid graph, on every engine, and its statistics agree
+      with a capture of its events ({!counter_mismatches});
     - [rollback_exact]: a schedule failing every instantiation leaves the
       graph's structural fingerprint (and live node count) unchanged —
       every attempted firing rolled back exactly;
@@ -86,6 +87,20 @@ val all_prop_names : string list
     outputs. Runs {!Pypm_graph.Graph.gc} first (the fingerprint sees live
     nodes only). *)
 val fingerprint : Pypm_graph.Graph.t -> string
+
+(** [counter_mismatches program stats events] recounts the per-pattern
+    counters of [stats] — and the pass-wide totals that have an event — from
+    [events], a capture ({!Pypm_obs.Obs.Collector}) of exactly the run of
+    [program] that produced [stats], and describes each disagreement; [[]]
+    means the counters and the event stream tell the same story. The
+    static share of [plan_pruned] ({!Pypm_plan.Plan.pruned}) has no event
+    and is taken from a fresh compile of [program] when the run used the
+    plan. *)
+val counter_mismatches :
+  Pypm_engine.Program.t ->
+  Pypm_engine.Pass.stats ->
+  Pypm_obs.Obs.event list ->
+  string list
 
 (** [run ?props ~seed ~budget ()] executes the selected properties
     ([props = []] or omitted means all), spreading [budget] cases across

@@ -61,11 +61,11 @@ let monotonic () = !mono_clock ()
 (* Per-domain state                                                    *)
 (*                                                                     *)
 (* The ring buffer and the sink list are domain-local: the serve worker *)
-(* pool runs one rewrite pass per domain, and each pass attaches its    *)
-(* own aggregator sink. A process-global sink list would interleave     *)
-(* events from unrelated passes (corrupting every worker's stats) and   *)
-(* race on the list itself. Domain.DLS gives each domain an isolated    *)
-(* ring + sinks at no cost to the single-domain CLI paths.              *)
+(* pool runs one rewrite pass per domain. A process-global ring or sink *)
+(* list would interleave events from unrelated passes (a capture would  *)
+(* mix workers' streams) and race on the list itself. Domain.DLS gives  *)
+(* each domain an isolated ring + sinks at no cost to the single-domain *)
+(* CLI paths.                                                           *)
 (* ------------------------------------------------------------------ *)
 
 type sink = event -> unit
@@ -168,126 +168,6 @@ module Collector = struct
   let clear c =
     c.rev <- [];
     c.n <- 0
-end
-
-(* ------------------------------------------------------------------ *)
-(* Per-pattern aggregation                                             *)
-(* ------------------------------------------------------------------ *)
-
-module Agg = struct
-  type pat = {
-    mutable attempts : int;
-    mutable pruned_head : int;
-    mutable pruned_plan : int;
-    mutable matches : int;
-    mutable rewrites : int;
-    mutable fuel_exhausted : int;
-    mutable guard_rejects : int;
-    mutable type_rejects : int;
-    mutable rolled_back : int;
-    mutable cycle_rejects : int;
-    mutable match_time : float;
-    hist : int array;
-  }
-
-  let hist_buckets = 24
-
-  type t = {
-    table : (string, pat) Hashtbl.t;
-    mutable order : string list; (* reverse first-seen order *)
-  }
-
-  let create () = { table = Hashtbl.create 16; order = [] }
-
-  let pat t name =
-    match Hashtbl.find_opt t.table name with
-    | Some p -> p
-    | None ->
-        let p =
-          {
-            attempts = 0;
-            pruned_head = 0;
-            pruned_plan = 0;
-            matches = 0;
-            rewrites = 0;
-            fuel_exhausted = 0;
-            guard_rejects = 0;
-            type_rejects = 0;
-            rolled_back = 0;
-            cycle_rejects = 0;
-            match_time = 0.;
-            hist = Array.make hist_buckets 0;
-          }
-        in
-        Hashtbl.add t.table name p;
-        t.order <- name :: t.order;
-        p
-
-  (* bucket 0: < 1 µs; bucket i: [2^(i-1), 2^i) µs *)
-  let bucket_of_dur dur =
-    let us = dur *. 1e6 in
-    if us < 1. then 0
-    else
-      let rec go i b = if us < b || i = hist_buckets - 1 then i else go (i + 1) (b *. 2.) in
-      go 1 2.
-
-  let sink t e =
-    match e.kind with
-    | Match_attempt { pattern; outcome; visits = _ } ->
-        let p = pat t pattern in
-        p.attempts <- p.attempts + 1;
-        p.match_time <- p.match_time +. e.dur;
-        p.hist.(bucket_of_dur e.dur) <- p.hist.(bucket_of_dur e.dur) + 1;
-        if outcome = Matched then p.matches <- p.matches + 1
-    | Pruned { pattern; via = Head_index } ->
-        let p = pat t pattern in
-        p.pruned_head <- p.pruned_head + 1
-    | Pruned { pattern; via = Plan_trie } ->
-        let p = pat t pattern in
-        p.pruned_plan <- p.pruned_plan + 1
-    | Fuel_exhausted { pattern; _ } ->
-        let p = pat t pattern in
-        p.fuel_exhausted <- p.fuel_exhausted + 1
-    | Guard_reject { pattern; _ } ->
-        let p = pat t pattern in
-        p.guard_rejects <- p.guard_rejects + 1
-    | Type_reject { pattern; _ } ->
-        let p = pat t pattern in
-        p.type_rejects <- p.type_rejects + 1
-    | Rule_fired { pattern; _ } ->
-        let p = pat t pattern in
-        p.rewrites <- p.rewrites + 1
-    | Plan_match { pattern } ->
-        let p = pat t pattern in
-        p.matches <- p.matches + 1
-    | Rolled_back { pattern; _ } ->
-        let p = pat t pattern in
-        p.rolled_back <- p.rolled_back + 1
-    | Cycle_rejected { pattern; _ } ->
-        let p = pat t pattern in
-        p.cycle_rejects <- p.cycle_rejects + 1
-    | Matcher_fuel _ | Plan_walk _ | Replace _ | Gc _ | Iteration _
-    | Pass_begin _ | Pass_end _ | Quarantined _ | Engine_degraded _
-    | Fault_injected _ | Deadline_hit _ | Cache_hit _ | Cache_miss _
-    | Cache_evicted _ | Request_served _ | Request_shed _
-    | Worker_restarted _ | Job_poisoned _ | Sat_iteration _ | Sat_union _
-    | Sat_extract _ ->
-        ()
-
-  let find t name = Hashtbl.find_opt t.table name
-  let patterns t = List.rev_map (fun n -> (n, pat t n)) t.order
-
-  let pp ppf t =
-    Format.fprintf ppf "@[<v>";
-    List.iter
-      (fun (name, p) ->
-        Format.fprintf ppf
-          "%-24s attempts %-6d matches %-5d rewrites %-4d fuel %-3d guard- \
-           %-3d type- %-3d %.4f s@,"
-          name p.attempts p.matches p.rewrites p.fuel_exhausted p.guard_rejects
-          p.type_rejects p.match_time)
-      (patterns t);
-    Format.fprintf ppf "@]"
 end
 
 (* ------------------------------------------------------------------ *)

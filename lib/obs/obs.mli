@@ -13,12 +13,15 @@
     - a {e ring buffer}, always on and cheap — the last few thousand events
       are always available for post-mortem inspection ({!recent});
     - attachable sinks ({!add_sink}/{!with_sink}), used by the {!Collector}
-      (full event capture for {!Chrome} trace export) and the {!Agg}
-      per-pattern counter/histogram aggregator that the pass's statistics
-      are computed from;
+      (full event capture for {!Chrome} trace export);
     - the {!Chrome} writer, which renders captured events as Chrome
       trace-event JSON loadable in [chrome://tracing] or
       {{:https://ui.perfetto.dev}Perfetto}.
+
+    Events are the narrative, not the books: the per-pattern counters live
+    in [Pass.stats], counted where each thing happens, and the test suite
+    and the [crash_safety] fuzz property check that a capture of a pass's
+    events agrees with them.
 
     The module is dependency-free (stdlib + unix for the clock) so every
     library in the tree can emit without layering concerns. *)
@@ -166,44 +169,6 @@ module Collector : sig
 
   val length : t -> int
   val clear : t -> unit
-end
-
-(** {1 Per-pattern aggregation}
-
-    The event-driven replacement for ad-hoc mutable counters: attach
-    [Agg.sink] for the duration of a pass and read totals and a log2
-    duration histogram per pattern afterwards. *)
-
-module Agg : sig
-  type pat = {
-    mutable attempts : int;
-    mutable pruned_head : int;
-    mutable pruned_plan : int;
-    mutable matches : int;
-    mutable rewrites : int;
-    mutable fuel_exhausted : int;
-    mutable guard_rejects : int;
-    mutable type_rejects : int;
-    mutable rolled_back : int;
-        (** firing attempts undone by the transaction journal *)
-    mutable cycle_rejects : int;
-        (** firings rejected because the replacement would close a cycle *)
-    mutable match_time : float;  (** seconds inside the matcher *)
-    hist : int array;
-        (** histogram of match-attempt durations; bucket [i] counts
-            attempts in [[2^(i-1), 2^i)] microseconds, bucket 0 is < 1 µs *)
-  }
-
-  type t
-
-  val create : unit -> t
-  val sink : t -> sink
-  val find : t -> string -> pat option
-
-  (** All patterns seen, in first-event order. *)
-  val patterns : t -> (string * pat) list
-
-  val pp : Format.formatter -> t -> unit
 end
 
 (** {1 Rewrite provenance}

@@ -1,5 +1,4 @@
 module Obs = Pypm_obs.Obs
-module Pool = Pypm_parallel.Pool
 module Pass = Pypm_engine.Pass
 module Program = Pypm_engine.Program
 module Codec = Pypm_serialize.Codec

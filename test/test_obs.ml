@@ -128,35 +128,85 @@ let test_ring_buffer_wraps () =
   Obs.set_ring_capacity 4096
 
 (* ------------------------------------------------------------------ *)
-(* Aggregator agrees with the pass statistics                          *)
+(* Counters agree with the event stream                                *)
 (* ------------------------------------------------------------------ *)
 
-let test_agg_matches_stats () =
-  let e, g = (Option.get (Zoo.find "bert-tiny")).Zoo.build () in
-  let agg = Obs.Agg.create () in
+(* Run a pass with a [Collector] attached and check every per-pattern
+   counter against a recount of the captured events. *)
+let run_counted ~config prog g =
+  let c = Obs.Collector.create () in
   let stats =
-    Obs.with_sink (Obs.Agg.sink agg) (fun () ->
-        Pass.run_cfg
-          ~config:
-            {
-              Pass.Config.default with
-              Pass.Config.engine = Some Pass.Index;
-            }
-          (Corpus.both_program e.Std_ops.sg)
-          g)
+    Obs.with_sink (Obs.Collector.sink c) (fun () -> Pass.run_cfg ~config prog g)
   in
+  Alcotest.(check (list string))
+    (Pass.engine_name (Option.get config.Pass.Config.engine)
+    ^ ": counters agree with events")
+    []
+    (Fuzz.counter_mismatches prog stats (Obs.Collector.events c));
+  stats
+
+let sum field (stats : Pass.stats) =
+  List.fold_left (fun acc ps -> acc + field ps) 0 stats.Pass.per_pattern
+
+let test_counters_match_events () =
+  let engines = [ Pass.Naive; Pass.Index; Pass.Plan ] in
+  let with_engine e = { Pass.Config.default with Pass.Config.engine = Some e } in
+  (* the zoo corpus: attempts, prunes, matches, rewrites *)
   List.iter
-    (fun (ps : Pass.pattern_stats) ->
-      match Obs.Agg.find agg ps.Pass.ps_name with
-      | None -> checki (ps.Pass.ps_name ^ ": no events means no attempts") 0 ps.Pass.attempts
-      | Some a ->
-          checki (ps.Pass.ps_name ^ ": attempts") a.Obs.Agg.attempts
-            ps.Pass.attempts;
-          checki (ps.Pass.ps_name ^ ": matches") a.Obs.Agg.matches
-            ps.Pass.matches;
-          checki (ps.Pass.ps_name ^ ": rewrites") a.Obs.Agg.rewrites
-            ps.Pass.rewrites)
-    stats.Pass.per_pattern
+    (fun engine ->
+      let e, g = (Option.get (Zoo.find "bert-tiny")).Zoo.build () in
+      let stats =
+        run_counted ~config:(with_engine engine)
+          (Corpus.both_program e.Std_ops.sg)
+          g
+      in
+      checkb "some rewrites" true (stats.Pass.total_rewrites > 0))
+    engines;
+  (* f64 operands: MMxyT matches, and both of its rules' guards reject *)
+  List.iter
+    (fun engine ->
+      let env, g = fresh_graph () in
+      let mm () =
+        let x = Graph.input g ~name:"x" (Ty.make Dtype.F64 [ 2; 3 ]) in
+        let w = Graph.input g ~name:"w" (Ty.make Dtype.F64 [ 5; 3 ]) in
+        Graph.add g Std_ops.matmul [ x; Graph.add g Std_ops.trans [ w ] ]
+      in
+      Graph.set_outputs g [ mm (); mm () ];
+      let stats =
+        run_counted ~config:(with_engine engine)
+          (Program.make ~sg:env.Std_ops.sg [ Corpus.mmxyt ])
+          g
+      in
+      checkb "guards rejected" true
+        (sum (fun ps -> ps.Pass.guard_rejections) stats > 0))
+    engines;
+  (* a literally duplicate alternate arm: the plan compiler drops it, and
+     that static share of [plan_pruned] has no event *)
+  let add = Pattern.app Std_ops.add [ Pattern.var "x"; Pattern.var "y" ] in
+  let e, g = (Option.get (Zoo.find "bert-tiny")).Zoo.build () in
+  let prog =
+    Program.make ~sg:e.Std_ops.sg
+      [ { Program.pname = "AddAny"; pattern = Pattern.alt add add; rules = [] } ]
+  in
+  checkb "the plan prunes statically" true
+    (Plan.pruned (Plan.compile [ ("AddAny", Pattern.alt add add) ]) <> []);
+  ignore (run_counted ~config:(with_engine Pass.Plan) prog g);
+  (* a fault-seeded run: rollbacks and fuel cuts *)
+  let e, g = (Option.get (Zoo.find "bert-base")).Zoo.build () in
+  let stats =
+    run_counted
+      ~config:
+        {
+          (with_engine Pass.Index) with
+          Pass.Config.inject = Resilience.Inject.seeded ~seed:2 ~rate:0.25 ();
+          quarantine_after = 3;
+        }
+      (Corpus.both_program e.Std_ops.sg)
+      g
+  in
+  checkb "faults rolled firings back" true
+    (sum (fun ps -> ps.Pass.rolled_back) stats > 0);
+  checkb "faults cut fuel" true (stats.Pass.fuel_exhausted > 0)
 
 (* ------------------------------------------------------------------ *)
 (* Provenance                                                          *)
@@ -350,10 +400,10 @@ let () =
         ] );
       ( "ring",
         [ Alcotest.test_case "wraps and keeps newest" `Quick test_ring_buffer_wraps ] );
-      ( "agg",
+      ( "counters",
         [
-          Alcotest.test_case "aggregator agrees with pass stats" `Quick
-            test_agg_matches_stats;
+          Alcotest.test_case "per-pattern counters agree with events" `Quick
+            test_counters_match_events;
         ] );
       ( "provenance",
         [
