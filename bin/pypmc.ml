@@ -224,23 +224,19 @@ let patterns_arg =
     value & opt (some file) None & info [ "patterns" ] ~docv:"FILE"
       ~doc:"Use a pattern file/binary instead of a built-in set.")
 
+(* Every engine by its [Pass.engine_name], for [Arg.enum]. *)
+let engine_enum f =
+  Cmdliner.Arg.enum (List.map (fun e -> (Pass.engine_name e, f e)) Pass.engines)
+
 let engine_arg =
-  let e =
-    Cmdliner.Arg.enum
-      [
-        ("naive", Pass.Naive);
-        ("index", Pass.Index);
-        ("plan", Pass.Plan);
-        ("egraph", Pass.Egraph);
-      ]
-  in
   Cmdliner.Arg.(
-    value & opt e Pass.Naive & info [ "engine" ] ~docv:"ENGINE"
+    value & opt (engine_enum Fun.id) Pass.Naive & info [ "engine" ] ~docv:"ENGINE"
       ~doc:"Matching engine: $(b,naive) (every pattern at every node), \
-            $(b,index) (root-head prefilter), $(b,plan) (shared matching \
-            plan with incremental re-matching), or $(b,egraph) (the plan \
-            machinery plus a cost-guided equality-saturation post-phase \
-            that commits only strict cost improvements).")
+            $(b,index) (root-head prefilter), $(b,plan) (the root-head \
+            prefilter, re-matching only the region a rewrite changed), or \
+            $(b,egraph) (the plan engine plus a cost-guided \
+            equality-saturation post-phase that commits only strict cost \
+            improvements).")
 
 let fault_points_of_names names =
   List.map
@@ -697,8 +693,8 @@ let fuzz_cmd =
     (Cmd.info "fuzz"
        ~doc:
          "Differential fuzzing: cross-check the abstract machine, the \
-          backtracking matcher, the enumeration oracle, the shared matching \
-          plan and all three pass engines on random inputs; round-trip the \
+          backtracking matcher, the enumeration oracle and all four pass \
+          engines on random inputs; round-trip the \
           codec and the surface syntax; stress the frontend with hostile \
           sources")
     Term.(const run $ seed $ budget $ props $ list)
@@ -743,8 +739,8 @@ let serve_cmd =
   in
   let workers =
     Arg.(value & opt int 4 & info [ "workers" ] ~docv:"N"
-           ~doc:"Worker domains; each compiles its own plan trie once and \
-                 reuses it for every request.")
+           ~doc:"Worker domains; each prepares its own engine once per \
+                 program and reuses it for every request.")
   in
   let queue_bound =
     Arg.(value & opt int 64 & info [ "queue-bound" ] ~docv:"N"
@@ -835,8 +831,7 @@ let load_cmd =
            ~doc:"Workload seed; the request mix is deterministic in it.")
   in
   let engine =
-    Arg.(value & opt (enum [ ("naive", "naive"); ("index", "index");
-                             ("plan", "plan"); ("egraph", "egraph") ]) "plan"
+    Arg.(value & opt (engine_enum Pass.engine_name) "plan"
          & info [ "engine" ] ~docv:"ENGINE" ~doc:"Matching engine to request.")
   in
   let variants =

@@ -60,8 +60,8 @@ val load : sg:Signature.t -> string -> (Program.t, string) result
     {!Program.make}[ ~lint] and the serve layer's admission reject. *)
 val lint : ?overlaps:bool -> Program.t -> Analysis.diagnostic list
 
-(** [prepare ?config prog] compiles the program once for repeated
-    {!run}s: head index or shared matching plan, per [config.engine]. *)
+(** [prepare ?config prog] binds the program to [config.engine] once,
+    for repeated {!run}s. *)
 val prepare : ?config:Config.t -> Program.t -> Pass.prepared
 
 (** [run ?config prepared g] rewrites [g] in place to a fixpoint and

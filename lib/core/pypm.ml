@@ -6,9 +6,7 @@
       operator signature and the two substitution kinds (section 3.1);
     - {!Guard}, {!Pattern}, {!Wf}, {!Skeleton}: the CorePyPM pattern
       grammar (figure 15), guard arithmetic (section 3.2), well-formedness,
-      and branch-string extraction for the pattern-set compiler;
-    - {!Plan}: the pattern-set compiler — the whole library as one shared
-      discrimination trie with prefix sharing and hoisted guards;
+      and branch-string extraction for the static analysis;
     - {!Analysis}: the static pattern-library linter — subsumption,
       overlap witnesses, shadowing under ordered-alternate semantics, and
       guard satisfiability over the attribute-interval fragment;
@@ -50,7 +48,6 @@ module Guard = Pypm_pattern.Guard
 module Pattern = Pypm_pattern.Pattern
 module Skeleton = Pypm_pattern.Skeleton
 module Wf = Pypm_pattern.Wf
-module Plan = Pypm_plan.Plan
 module Analysis = Pypm_analysis.Analysis
 module Obs = Pypm_obs.Obs
 module Outcome = Pypm_semantics.Outcome

@@ -12,8 +12,8 @@
     cost improvements.
 
     The pass's [Egraph] engine runs this as a post-phase after the plan
-    machinery, so its result is never costlier than the Plan engine's on
-    the same graph, by construction.
+    engine's greedy pass, so its result is never costlier than the Plan
+    engine's on the same graph, by construction.
 
     Guards are supported: every matched e-class carries a witness term
     from the original graph, and guards are evaluated on witnesses through

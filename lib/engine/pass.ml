@@ -1,6 +1,5 @@
 open Pypm_graph
 open Pypm_semantics
-module Plan = Pypm_plan.Plan
 module Obs = Pypm_obs.Obs
 module Breaker = Pypm_resilience.Resilience.Breaker
 module Inject = Pypm_resilience.Resilience.Inject
@@ -12,6 +11,11 @@ let engine_name = function
   | Index -> "index"
   | Plan -> "plan"
   | Egraph -> "egraph"
+
+let engines = [ Naive; Index; Plan; Egraph ]
+
+let engine_of_name s =
+  List.find_opt (fun e -> String.equal (engine_name e) s) engines
 
 (* ------------------------------------------------------------------ *)
 (* Run configuration                                                   *)
@@ -72,7 +76,7 @@ type pattern_stats = {
   ps_name : string;
   mutable attempts : int;
   mutable skipped : int;
-  mutable plan_pruned : int;
+  mutable plan_pruned : int; (* always 0; kept for its stats_json key *)
   mutable matches : int;
   mutable rewrites : int;
   mutable fuel_exhausted : int;
@@ -93,7 +97,7 @@ type stats = {
   mutable quarantined : int;
   mutable collected : int;
   mutable wall_time : float;
-  mutable plan_time : float;
+  mutable plan_time : float; (* always 0; kept for its stats_json key *)
   mutable reached_fixpoint : bool;
   mutable deadline_hit : bool;
   mutable engine_used : string;
@@ -298,8 +302,7 @@ let try_match rc view (c : ectx) (node : Graph.node) =
     match c.heads with
     | Some heads when not (Pypm_term.Symbol.Set.mem node.Graph.op heads) ->
         ps.skipped <- ps.skipped + 1;
-        Obs.emit ~node:node.Graph.id
-          (Obs.Pruned { pattern = pname; via = Obs.Head_index });
+        Obs.emit ~node:node.Graph.id (Obs.Pruned { pattern = pname });
         None
     | _ -> (
         let fuel =
@@ -501,6 +504,19 @@ let fire ?settled rc g view (c : ectx) node theta phi =
 
 let resolve_engine engine = Option.value engine ~default:Naive
 
+(* Match every entry at one node, in program order, each behind its
+   root-head prefilter when it has one, and call [on_match] on each
+   witness until it returns [Some _]. Every engine matches this way; they
+   differ in which nodes they visit. *)
+let match_at rc ctxs view node ~on_match =
+  rc.rstats.nodes_visited <- rc.rstats.nodes_visited + 1;
+  List.find_map
+    (fun c ->
+      match try_match rc view c node with
+      | Some w -> on_match c w
+      | None -> None)
+    ctxs
+
 (* ------------------------------------------------------------------ *)
 (* Full-traversal engines (Naive, Index)                               *)
 (* ------------------------------------------------------------------ *)
@@ -518,14 +534,9 @@ let run_scan rc ~max_rewrites ctxs g =
       List.find_opt
         (fun node ->
           check_deadline rc;
-          stats.nodes_visited <- stats.nodes_visited + 1;
-          List.exists
-            (fun c ->
-              match try_match rc view c node with
-              | Some (theta, phi) ->
-                  Option.is_some (fire rc g view c node theta phi)
-              | None -> false)
-            ctxs)
+          Option.is_some
+            (match_at rc ctxs view node ~on_match:(fun c (theta, phi) ->
+                 fire rc g view c node theta phi)))
         (Graph.live_nodes g)
     in
     match fired with
@@ -537,86 +548,8 @@ let run_scan rc ~max_rewrites ctxs g =
   traverse ()
 
 (* ------------------------------------------------------------------ *)
-(* Plan engine: shared trie + incremental re-matching                  *)
+(* Plan engine: the dirty-region worklist                              *)
 (* ------------------------------------------------------------------ *)
-
-let compile_plan (program : Program.t) =
-  Plan.compile
-    (List.map
-       (fun (e : Program.entry) -> (e.Program.pname, e.Program.pattern))
-       program.Program.entries)
-
-(* Per-entry plan context, fixed at compile time: compiled entries read
-   their witness out of the shared trie walk, fallback entries run the
-   backtracking matcher behind their root-head prefilter. Positional, not
-   name-keyed: [Plan.kinds] preserves input order.
-
-   Built once per run, when the run settles on the plan, so this is where
-   each compiled entry is credited with the branches the compiler dropped
-   statically because an earlier branch of the same pattern subsumes them
-   ([Plan.pruned]); [plan_match_at] adds the dynamic trie prunes. *)
-type plan_entry = Trie of ectx | Backtrack of ectx
-
-let plan_contexts plan (program : Program.t) slots =
-  let static_pruned = Plan.pruned plan in
-  List.map2
-    (fun ((e : Program.entry), (breaker, ps))
-         ((kname, k) : string * Plan.entry_kind) ->
-      assert (String.equal kname e.Program.pname);
-      match k with
-      | Plan.Compiled _ ->
-          Option.iter
-            (fun n -> ps.plan_pruned <- ps.plan_pruned + n)
-            (List.assoc_opt kname static_pruned);
-          Trie { entry = e; heads = None; breaker; epstats = ps }
-      | Plan.Fallback heads -> Backtrack { entry = e; heads; breaker; epstats = ps })
-    (List.combine program.Program.entries slots)
-    (Plan.kinds plan)
-
-(* Match every entry at one node through the shared plan: one trie walk
-   covers all compiled patterns; fallback patterns run the backtracking
-   matcher behind their root-head prefilter. Calls [on_match] on entries in
-   program order until it returns [Some _]. Quarantined entries are
-   skipped in both tiers. *)
-let plan_match_at rc ~plan ~pctxs view node ~on_match =
-  let stats = rc.rstats in
-  stats.nodes_visited <- stats.nodes_visited + 1;
-  let t = Term_view.term_of view node in
-  let interp = Term_view.interp view in
-  let t0 = now () in
-  let results = Plan.match_node plan ~interp t in
-  stats.plan_time <- stats.plan_time +. (now () -. t0);
-  let rec go = function
-    | [] -> None
-    | pe :: rest -> (
-        let c, witness =
-          match pe with
-          | Trie c ->
-              if Breaker.tripped c.breaker then (c, None)
-              else (
-                match List.assoc_opt c.entry.Program.pname results with
-                | Some (theta, phi) ->
-                    c.epstats.matches <- c.epstats.matches + 1;
-                    Obs.emit ~node:node.Graph.id
-                      (Obs.Plan_match { pattern = c.entry.Program.pname });
-                    (c, Some (theta, phi))
-                | None ->
-                    c.epstats.plan_pruned <- c.epstats.plan_pruned + 1;
-                    Obs.emit ~node:node.Graph.id
-                      (Obs.Pruned
-                         {
-                           pattern = c.entry.Program.pname;
-                           via = Obs.Plan_trie;
-                         });
-                    (c, None))
-          | Backtrack c -> (c, try_match rc view c node)
-        in
-        match witness with
-        | Some w -> (
-            match on_match c w with Some r -> Some r | None -> go rest)
-        | None -> go rest)
-  in
-  go pctxs
 
 (* The plan loop keeps a set of {e clean} nodes: scanned since their term
    view last changed, without firing. Every other node is dirty, new nodes
@@ -688,7 +621,7 @@ let rec drop k l = if k = 0 then l else match l with [] -> [] | _ :: t -> drop (
    The term view is built fresh once per iteration (one firing): [node_of]
    resolves structurally equal subgraphs to the first node the view
    registers, so a view kept across firings would change sharing. *)
-let run_plan rc ~max_rewrites plan pctxs g =
+let run_plan rc ~max_rewrites ctxs g =
   let stats = rc.rstats in
   let clean : (int, unit) Hashtbl.t = Hashtbl.create 512 in
   let entered : (int, unit) Hashtbl.t = Hashtbl.create 512 in
@@ -735,7 +668,7 @@ let run_plan rc ~max_rewrites plan pctxs g =
       n.Graph.id < first_new && Hashtbl.mem clean n.Graph.id
     in
     match
-      plan_match_at rc ~plan ~pctxs view node ~on_match:(fun c (theta, phi) ->
+      match_at rc ctxs view node ~on_match:(fun c (theta, phi) ->
           fire ~settled rc g view c node theta phi)
     with
     | None ->
@@ -759,33 +692,15 @@ let run_plan rc ~max_rewrites plan pctxs g =
 (* Prepared engines                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* The reusable, run-independent part of an engine: the program, the
-   requested engine, and — for [Plan] — the compiled shared trie (or the
-   compilation failure, replayed to the ladder on every run). Everything
-   per-run (breakers, stats, fault schedules) stays out of this record,
-   so one [prepared] serves any number of concurrent-free sequential runs
-   — the serve worker pool holds one per (program, engine) and skips plan
-   compilation on every request after the first. *)
-type prepared = {
-  p_program : Program.t;
-  p_engine : engine;
-  p_plan : (Plan.t, string) result option;
-      (* [Some] iff engine is [Plan] or [Egraph] (which runs the plan
-         machinery for its greedy phase) *)
-}
+(* The reusable, run-independent part of an engine: the program and the
+   requested engine. Everything per-run (breakers, stats, fault
+   schedules) stays out of this record, so one [prepared] serves any
+   number of sequential runs; the serve worker pool holds one per
+   (program, engine). *)
+type prepared = { p_program : Program.t; p_engine : engine }
 
 let prepare_cfg ?(config = Config.default) (program : Program.t) =
-  let e = resolve_engine config.Config.engine in
-  let p_plan =
-    match e with
-    | Plan | Egraph ->
-        Some
-          (match compile_plan program with
-          | plan -> Ok plan
-          | exception exn -> Error (Printexc.to_string exn))
-    | Index | Naive -> None
-  in
-  { p_program = program; p_engine = e; p_plan }
+  { p_program = program; p_engine = resolve_engine config.Config.engine }
 
 let prepared_engine p = p.p_engine
 let prepared_program p = p.p_program
@@ -794,50 +709,36 @@ let prepared_program p = p.p_program
 (* Engine degradation ladder                                           *)
 (* ------------------------------------------------------------------ *)
 
-type runnable = Scan of ectx list | Planned of Plan.t * plan_entry list
-
 let next_down = function
   | Egraph -> Some Plan
   | Plan -> Some Index
   | Index -> Some Naive
   | Naive -> None
 
-(* Instantiate the prepared engine for one run, degrading Plan → Index →
-   Naive on a preparation failure (a plan-compilation exception recorded
-   at prepare time, or an injected fault) with a warn event instead of
-   dying. The injection check runs per-run even when the plan itself is
-   cached: fault schedules describe runs, not programs. If even Naive
-   cannot be prepared (injection only), the pass has no engine: fatal. *)
-let prepare_engine rc (p : prepared) slots =
-  let program = p.p_program in
+(* Settle the engine for one run, degrading Egraph → Plan → Index → Naive
+   on a preparation failure (an injected fault, or an egraph run with
+   nothing to saturate) with a warn event instead of dying. Fault
+   schedules describe runs, not programs, so the injection point is
+   consulted per run. If even Naive cannot be prepared (injection only),
+   the pass has no engine: fatal. *)
+let prepare_engine rc (p : prepared) =
   let prep e =
     if Inject.fires rc.rinject Inject.Plan_compile then
       Error "injected fault: engine preparation failed"
     else
-      (* [prepare_cfg] compiled the plan for [Plan] and [Egraph], the only
-         rungs that reach here, and the ladder never steps up *)
-      let planned () =
-        Result.map
-          (fun plan -> Planned (plan, plan_contexts plan program slots))
-          (Option.get p.p_plan)
-      in
       match e with
-      | Egraph ->
-          (* The e-graph engine is the plan machinery plus a saturation
+      | Egraph when (Eqsat.rules_of_program p.p_program).Eqsat.crules = [] ->
+          (* The e-graph engine is the plan engine plus a saturation
              post-phase; without a single convertible rule the phase would
              be a no-op, so degrade to Plan and say why. *)
-          if (Eqsat.rules_of_program program).Eqsat.crules = [] then
-            Error "no egraph-convertible rules in the program"
-          else planned ()
-      | Plan -> planned ()
-      | Index -> Ok (Scan (contexts ~prefilter:true program slots))
-      | Naive -> Ok (Scan (contexts ~prefilter:false program slots))
+          Error "no egraph-convertible rules in the program"
+      | _ -> Ok ()
   in
   let rec ladder e =
     match prep e with
-    | Ok k ->
+    | Ok () ->
         rc.rstats.engine_used <- engine_name e;
-        k
+        e
     | Error reason -> (
         match next_down e with
         | Some e' ->
@@ -904,10 +805,12 @@ let run_prepared_cfg ?(config = Config.default) (p : prepared) g =
   let rc, slots = start_run config p.p_engine program in
   let stats = rc.rstats in
   (try
-     match prepare_engine rc p slots with
-     | Scan ctxs -> run_scan rc ~max_rewrites:config.Config.max_rewrites ctxs g
-     | Planned (plan, pctxs) ->
-         run_plan rc ~max_rewrites:config.Config.max_rewrites plan pctxs g
+     let e = prepare_engine rc p in
+     let ctxs = contexts ~prefilter:(e <> Naive) program slots in
+     let max_rewrites = config.Config.max_rewrites in
+     match e with
+     | Naive | Index -> run_scan rc ~max_rewrites ctxs g
+     | Plan | Egraph -> run_plan rc ~max_rewrites ctxs g
    with Aborted -> ());
   (* The loop frees by use count; one full collection when it is left,
      at a fixpoint or not, drops what use counts cannot see (garbage
@@ -985,25 +888,10 @@ let match_only_cfg ?(config = Config.default) (program : Program.t) g =
   let stats = rc.rstats in
   stats.iterations <- 1;
   let view = Term_view.create g in
-  (match e with
-  | Plan | Egraph ->
-      (* matching is phase-free: the e-graph engine matches exactly
-         as Plan does *)
-      let plan = compile_plan program in
-      let pctxs = plan_contexts plan program slots in
-      List.iter
-        (fun node ->
-          ignore
-            (plan_match_at rc ~plan ~pctxs view node
-               ~on_match:(fun _ _ -> None)))
-        (Graph.live_nodes g)
-  | (Naive | Index) as e ->
-      let ctxs = contexts ~prefilter:(e = Index) program slots in
-      List.iter
-        (fun node ->
-          stats.nodes_visited <- stats.nodes_visited + 1;
-          List.iter (fun c -> ignore (try_match rc view c node)) ctxs)
-        (Graph.live_nodes g));
+  let ctxs = contexts ~prefilter:(e <> Naive) program slots in
+  List.iter
+    (fun node -> ignore (match_at rc ctxs view node ~on_match:(fun _ _ -> None)))
+    (Graph.live_nodes g);
   stats.reached_fixpoint <- true;
   finalize rc;
   stats
@@ -1032,12 +920,9 @@ let matches_of ?(fuel = 200_000) (program : Program.t) g =
 let pp_stats ppf s =
   Format.fprintf ppf
     "@[<v>pass: %d iteration(s), %d nodes visited, %d rewrites, %d collected, \
-     %.3f s (%s engine)%s%s%s@,"
+     %.3f s (%s engine)%s%s@,"
     s.iterations s.nodes_visited s.total_rewrites s.collected s.wall_time
     s.engine_used
-    (if s.plan_time > 0. then
-       Printf.sprintf " (%.4f s in the shared plan)" s.plan_time
-     else "")
     (if s.reached_fixpoint then ""
      else if s.deadline_hit then " (deadline hit)"
      else " (max rewrites hit)")
@@ -1070,9 +955,9 @@ let pp_stats ppf s =
   List.iter
     (fun ps ->
       Format.fprintf ppf
-        "  %-24s attempts %-6d skipped %-6d pruned %-6d matches %-5d \
-         rewrites %-5d %.4f s%s%s@,"
-        ps.ps_name ps.attempts ps.skipped ps.plan_pruned ps.matches
+        "  %-24s attempts %-6d skipped %-6d matches %-5d rewrites %-5d \
+         %.4f s%s%s@,"
+        ps.ps_name ps.attempts ps.skipped ps.matches
         ps.rewrites ps.match_time
         (if ps.fuel_exhausted > 0 then
            Printf.sprintf " fuel-exhausted %d" ps.fuel_exhausted

@@ -16,11 +16,8 @@
     - {!Index}: the root-head index — a pattern whose
       {!Pypm_pattern.Pattern.root_heads} excludes the node's operator is
       skipped without running the matcher.
-    - {!Plan}: the pattern-set compiler ({!Pypm_plan.Plan}) — the whole
-      library is compiled into one shared discrimination trie and each node
-      is matched against every compiled pattern in a single trie walk;
-      patterns outside the compilable fragment fall back to the
-      backtracking matcher behind a root-head prefilter. The pass is also
+    - {!Plan}: the root-head index over a dirty-region worklist. Each
+      visited node is matched exactly as under {!Index}; the pass is
       {e incremental}: after a rewrite fires, only the dirty region (the
       nodes the rewrite created plus the transitive consumers of the
       replacement root) is re-matched; everything else keeps its
@@ -28,15 +25,15 @@
       outcome depends only on its term view. The scan resumes after a
       firing instead of restarting, and marking the dirty region walks
       use-lists; the loop's cost follows the rewrite, not the graph (see
-      [doc/plan.md] §4). The rewrite sequence — and hence the final graph
-      — is identical to the full-traversal engines' (checked in
+      [doc/plan.md]). The rewrite sequence — and hence the final graph —
+      is identical to the full-traversal engines' (checked in
       [test/test_plan.ml]).
 
     Every engine frees the replaced subgraph by use count after each
     firing ({!Pypm_graph.Graph.free}) and runs one {!Pypm_graph.Graph.gc}
     when its loop ends, unless the pass runs inside a caller's
     transaction.
-    - {!Egraph}: the Plan machinery followed by one cost-guided
+    - {!Egraph}: the Plan engine followed by one cost-guided
       equality-saturation post-phase ({!Eqsat.phase}): the program's
       convertible rules saturate an e-graph over the greedy result under
       node/class/iteration budgets, each output's cheapest equivalent
@@ -67,9 +64,9 @@
       rule errors, cycle rejections) trips its circuit breaker after
       [quarantine_after] strikes and is skipped for the rest of the pass;
     - {e degradation ladder} — if the requested engine cannot be prepared
-      (plan compilation fails, or no rule converts to a saturation
-      rewrite), the pass degrades Egraph → Plan → Index → Naive with a
-      warn event instead of dying;
+      (an injected [Plan_compile] fault, or no rule converts to a
+      saturation rewrite), the pass degrades Egraph → Plan → Index →
+      Naive with a warn event instead of dying;
     - {e deadline} — [deadline_s] bounds the pass's wall-clock time;
       on expiry the pass stops where it is and returns partial stats with
       [reached_fixpoint = false] and [deadline_hit = true];
@@ -83,7 +80,15 @@ open Pypm_graph
 
 type engine = Naive | Index | Plan | Egraph
 
+(** Every engine, from the simplest to the richest. *)
+val engines : engine list
+
+(** The engine's name on the command line, on the wire and in
+    [stats.engine_used]: ["naive"], ["index"], ["plan"], ["egraph"]. *)
 val engine_name : engine -> string
+
+(** The inverse of {!engine_name}; [None] for any other string. *)
+val engine_of_name : string -> engine option
 
 (** The pass configuration: one record for every knob of the pass.
     Build it with a record update over {!Config.default} and hand
@@ -131,19 +136,13 @@ val error_message : error -> string
 
 type pattern_stats = {
   ps_name : string;
-  mutable attempts : int;
-      (** nodes the backtracking matcher ran against (plan-compiled
-          patterns never run it, so their attempts stay 0 under [Plan]) *)
+  mutable attempts : int;  (** nodes the backtracking matcher ran against *)
   mutable skipped : int;
-      (** nodes skipped by a root-head check without running the matcher:
-          the root-head index under [Index], the fallback prefilter under
-          [Plan]; always 0 under [Naive] *)
+      (** nodes skipped by the root-head prefilter without running the
+          matcher; always 0 under [Naive] *)
   mutable plan_pruned : int;
-      (** pruning credited to the shared plan: nodes where the trie walk
-          rejected this (compiled) pattern without running the
-          backtracking matcher, plus the pattern's branches the compiler
-          dropped statically because an earlier branch subsumes them
-          ([Plan.pruned]); always 0 under [Naive] and [Index] *)
+      (** always 0: no engine prunes beyond the root-head prefilter. Kept
+          so [stats_json] keeps its ["plan_pruned"] key *)
   mutable matches : int;  (** successful matches (rules may still not fire) *)
   mutable rewrites : int;  (** rules fired *)
   mutable fuel_exhausted : int;
@@ -183,7 +182,7 @@ type stats = {
           collection *)
   mutable wall_time : float;  (** whole pass, seconds *)
   mutable plan_time : float;
-      (** seconds inside the shared plan's trie walk (0 unless [Plan]) *)
+      (** always 0. Kept so [stats_json] keeps its ["plan_time_s"] key *)
   mutable reached_fixpoint : bool;
   mutable deadline_hit : bool;
       (** the pass stopped at [deadline_s]; implies
@@ -256,12 +255,9 @@ val log_src : Logs.src
 (** {1 Prepared engines}
 
     A {!prepared} value is the run-independent half of an engine: the
-    program, the engine choice, and — for {!Plan} — the compiled shared
-    trie (or its compilation failure, replayed to the degradation ladder
-    on every run). Preparing once and calling {!run_prepared_cfg} many
-    times amortizes plan compilation across runs; the serve worker pool
-    holds one prepared engine per (program, engine) pair so the trie is
-    built once per worker, not once per request.
+    program and the engine choice. Preparing once and calling
+    {!run_prepared_cfg} many times is how the serve worker pool holds one
+    engine per (program, engine) pair.
 
     A [prepared] value is immutable and safe to reuse across sequential
     runs on the same domain. Breakers, stats and fault schedules are
@@ -269,11 +265,8 @@ val log_src : Logs.src
 
 type prepared
 
-(** [prepare_cfg ?config program] resolves [config.engine] and compiles
-    the plan eagerly when the engine is {!Plan} or {!Egraph}; the other
-    fields are ignored. A plan-compilation failure is {e not} raised
-    here; it is stored and drives the degradation ladder on each
-    subsequent run. *)
+(** [prepare_cfg ?config program] resolves [config.engine]; the other
+    fields are ignored. *)
 val prepare_cfg : ?config:Config.t -> Program.t -> prepared
 
 (** The engine that was requested at prepare time (the ladder may still
@@ -312,12 +305,11 @@ val prepared_program : prepared -> Program.t
     mode is a stats field. *)
 val run_cfg : ?config:Config.t -> Program.t -> Graph.t -> stats
 
-(** [run_prepared_cfg ?config p g] is {!run_cfg} with the
-    engine-preparation work (plan compilation) reused from [p]; it runs
-    whatever engine [p] was prepared for, so [config.engine] is not
+(** [run_prepared_cfg ?config p g] is {!run_cfg} on [p]'s program; it
+    runs whatever engine [p] was prepared for, so [config.engine] is not
     consulted. Per-run state — circuit breakers, stats records, the
     fault-injection schedule — is fresh on every call, and the [inject]
-    [Plan_compile] point is still consulted per run. *)
+    [Plan_compile] point is consulted per run. *)
 val run_prepared_cfg : ?config:Config.t -> prepared -> Graph.t -> stats
 
 (** [run_result_cfg] is {!run_cfg} under the [`Fail] policy, with the

@@ -19,8 +19,8 @@ type entry = {
 type t = { sg : Signature.t; entries : entry list }
 
 (** Builds a program. Raises [Invalid_argument] if two entries share a
-    [pname]: names key per-pattern statistics, head-index entries and plan
-    result slots, so a duplicate would silently alias them.
+    [pname]: names key per-pattern statistics, so a duplicate would
+    silently alias them.
 
     [?lint] is an opt-in admission check: the built program is handed to
     it, and any [Wf.Error]-severity diagnostic it returns raises

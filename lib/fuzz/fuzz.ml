@@ -4,7 +4,6 @@ open Pypm_semantics
 open Pypm_engine
 module P = Pattern
 module Graph = Pypm_graph.Graph
-module Plan = Pypm_plan.Plan
 module Obs = Pypm_obs.Obs
 module Codec = Pypm_serialize.Codec
 module Surface = Pypm_surface.Surface
@@ -142,26 +141,6 @@ let oracle_first_witness (p, t) =
       else Fail "machine reported no match but the oracle found a witness"
   | Outcome.Stuck | Outcome.Out_of_fuel -> Discard
 
-let plan_first_witness (p, t) =
-  match Skeleton.extract p with
-  | None -> Discard
-  | Some _ -> (
-      let plan = Plan.compile [ ("P", p) ] in
-      let expected =
-        Matcher.matches ~interp ~policy:Outcome.Policy.Backtrack ~fuel p t
-      in
-      let got = List.assoc_opt "P" (Plan.match_node plan ~interp t) in
-      match (expected, got) with
-      | Outcome.Out_of_fuel, _ -> Discard
-      | Outcome.Matched (theta, phi), Some (theta', phi') ->
-          if Subst.equal theta theta' && Fsubst.equal phi phi' then Pass
-          else Fail "plan witness differs from the matcher's first witness"
-      | (Outcome.No_match | Outcome.Stuck), None -> Pass
-      | Outcome.Matched _, None ->
-          Fail "matcher matched but the plan found nothing"
-      | (Outcome.No_match | Outcome.Stuck), Some _ ->
-          Fail "plan matched but the matcher found nothing")
-
 (* ------------------------------------------------------------------ *)
 (* Engine differential properties                                      *)
 (* ------------------------------------------------------------------ *)
@@ -231,7 +210,10 @@ let fingerprint g =
 let with_engine engine =
   { Pass.Config.default with Pass.Config.engine = Some engine }
 
-let engine_names = [ (Pass.Naive, "naive"); (Pass.Index, "index"); (Pass.Plan, "plan") ]
+let engine_names =
+  List.filter_map
+    (fun e -> if e = Pass.Egraph then None else Some (e, Pass.engine_name e))
+    Pass.engines
 
 (* The rewrite sequence of a pass: per firing, the pattern, the rule, and
    the matched and replacement node ids. *)
@@ -371,10 +353,8 @@ let graph_validate recipe =
 
 (* The pass counts each per-pattern statistic where it happens and emits
    an event beside it; recount the counters from a capture of exactly the
-   run that produced [stats] and list every disagreement. The static share
-   of [plan_pruned] (branches [Plan.compile] dropped as subsumed) has no
-   event; it is taken from a fresh compile when the run used the plan. *)
-let counter_mismatches (prog : Program.t) (stats : Pass.stats) events =
+   run that produced [stats] and list every disagreement. *)
+let counter_mismatches (stats : Pass.stats) events =
   (* (pattern, counter) -> recount, in floats so [match_time] fits too *)
   let tally = Hashtbl.create 64 in
   let add pattern field v =
@@ -390,10 +370,7 @@ let counter_mismatches (prog : Program.t) (stats : Pass.stats) events =
           bump pattern "attempts";
           add pattern "match_time" e.Obs.dur;
           if outcome = Obs.Matched then bump pattern "matches"
-      | Obs.Pruned { pattern; via = Obs.Head_index } -> bump pattern "skipped"
-      | Obs.Pruned { pattern; via = Obs.Plan_trie } ->
-          bump pattern "plan_pruned"
-      | Obs.Plan_match { pattern } -> bump pattern "matches"
+      | Obs.Pruned { pattern } -> bump pattern "skipped"
       | Obs.Fuel_exhausted { pattern; _ } -> bump pattern "fuel_exhausted"
       | Obs.Guard_reject { pattern; _ } -> bump pattern "guard_rejections"
       | Obs.Type_reject { pattern; _ } -> bump pattern "type_rejections"
@@ -409,15 +386,6 @@ let counter_mismatches (prog : Program.t) (stats : Pass.stats) events =
   let total field =
     Hashtbl.fold (fun (_, f) v acc -> if f = field then acc +. v else acc) tally 0.
   in
-  let static_pruned =
-    if List.mem stats.Pass.engine_used [ "plan"; "egraph" ] then
-      Plan.pruned
-        (Plan.compile
-           (List.map
-              (fun (e : Program.entry) -> (e.Program.pname, e.Program.pattern))
-              prog.Program.entries))
-    else []
-  in
   let differ who (field, kept) events =
     if Float.equal kept events then None
     else
@@ -427,13 +395,12 @@ let counter_mismatches (prog : Program.t) (stats : Pass.stats) events =
   List.concat_map
     (fun (ps : Pass.pattern_stats) ->
       let name = ps.Pass.ps_name in
-      let static = Option.value ~default:0 (List.assoc_opt name static_pruned) in
       List.filter_map
         (fun ((field, _) as kept) -> differ name kept (counted name field))
         [
           ("attempts", n ps.Pass.attempts);
           ("skipped", n ps.Pass.skipped);
-          ("plan_pruned", n (ps.Pass.plan_pruned - static));
+          ("plan_pruned", n ps.Pass.plan_pruned);
           ("matches", n ps.Pass.matches);
           ("rewrites", n ps.Pass.rewrites);
           ("fuel_exhausted", n ps.Pass.fuel_exhausted);
@@ -490,7 +457,7 @@ let crash_safety (r : Gen.graph_recipe) =
                      (String.concat "; " errs))
             | [] -> (
                 match
-                  counter_mismatches prog stats (Obs.Collector.events capture)
+                  counter_mismatches stats (Obs.Collector.events capture)
                 with
                 | [] -> None
                 | diffs ->
@@ -884,13 +851,6 @@ let props : prop list =
         doc = "machine success/failure agrees with the enumeration oracle";
         cost = 2;
         case = pair_case oracle_first_witness;
-      };
-    Prop
-      {
-        name = "plan-first-witness";
-        doc = "shared matching plan = matcher on the compilable fragment";
-        cost = 1;
-        case = pair_case plan_first_witness;
       };
     Prop
       {

@@ -9,8 +9,6 @@
     - [oracle_first_witness]: the machine's success witness is the
       enumeration oracle's first witness, and machine failure implies the
       (complete) oracle found no witness;
-    - [plan_first_witness]: for skeleton-compilable patterns, the shared
-      matching plan's first witness equals the backtracking matcher's;
     - [engines_agree]: the three pass engines (naive, indexed, plan) report
       identical per-pattern match counts, perform the same number of
       rewrites and produce isomorphic graphs on random well-typed
@@ -88,19 +86,13 @@ val all_prop_names : string list
     nodes only). *)
 val fingerprint : Pypm_graph.Graph.t -> string
 
-(** [counter_mismatches program stats events] recounts the per-pattern
-    counters of [stats] — and the pass-wide totals that have an event — from
-    [events], a capture ({!Pypm_obs.Obs.Collector}) of exactly the run of
-    [program] that produced [stats], and describes each disagreement; [[]]
-    means the counters and the event stream tell the same story. The
-    static share of [plan_pruned] ({!Pypm_plan.Plan.pruned}) has no event
-    and is taken from a fresh compile of [program] when the run used the
-    plan. *)
+(** [counter_mismatches stats events] recounts the per-pattern counters
+    of [stats] — and the pass-wide totals that have an event — from
+    [events], a capture ({!Pypm_obs.Obs.Collector}) of exactly the run
+    that produced [stats], and describes each disagreement; [[]] means the
+    counters and the event stream tell the same story. *)
 val counter_mismatches :
-  Pypm_engine.Program.t ->
-  Pypm_engine.Pass.stats ->
-  Pypm_obs.Obs.event list ->
-  string list
+  Pypm_engine.Pass.stats -> Pypm_obs.Obs.event list -> string list
 
 (** [run ?props ~seed ~budget ()] executes the selected properties
     ([props = []] or omitted means all), spreading [budget] cases across

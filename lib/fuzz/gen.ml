@@ -575,18 +575,15 @@ let graph_recipe r =
     gr_pats = Srng.range r 2 8;
   }
 
-let f32 shape = Pypm_tensor.Ty.make Pypm_tensor.Dtype.F32 shape
-
 (* GELU(x) with a random "half" spelling, as the transformer models emit. *)
-let gelu_subgraph r g x =
+let gelu_subgraph r g ~dtype x =
+  let const v = Graph.constant g ~dtype v in
   let half =
-    if Srng.bool r then Graph.add g O.div [ x; Graph.constant g 2.0 ]
-    else Graph.add g O.mul [ x; Graph.constant g 0.5 ]
+    if Srng.bool r then Graph.add g O.div [ x; const 2.0 ]
+    else Graph.add g O.mul [ x; const 0.5 ]
   in
-  let erf =
-    Graph.add g O.erf [ Graph.add g O.div [ x; Graph.constant g O.sqrt2 ] ]
-  in
-  let inner = Graph.add g O.add [ Graph.constant g 1.0; erf ] in
+  let erf = Graph.add g O.erf [ Graph.add g O.div [ x; const O.sqrt2 ] ] in
+  let inner = Graph.add g O.add [ const 1.0; erf ] in
   Graph.add g O.mul [ half; inner ]
 
 (* The entries a random program draws from. [trans_of_matmul] is excluded:
@@ -623,21 +620,31 @@ let synthesized_entries sg =
 
 let build recipe =
   let r = Srng.create ~seed:recipe.gr_seed in
+  (* One element type per graph, mostly f32; the other float types make
+     the corpus's dtype guards reject. It comes from a stream of its own,
+     so a seed's graph structure and program do not depend on it. *)
+  let dtype =
+    Srng.pick
+      (Srng.create ~seed:((recipe.gr_seed * 7919) + 1))
+      Pypm_tensor.Dtype.[ F32; F32; F32; F32; F32; F64; F16; BF16 ]
+  in
+  let ty shape = Pypm_tensor.Ty.make dtype shape in
   let env = O.make () in
   let g = Graph.create ~sg:env.O.sg ~infer:env.O.infer () in
+  let const v = Graph.constant g ~dtype v in
   let b = 2 and s = 8 in
   let h = Srng.pick r [ 4; 8 ] in
-  let x0 = Graph.input g ~name:"x" (f32 [ b; s; h ]) in
+  let x0 = Graph.input g ~name:"x" (ty [ b; s; h ]) in
   (* Every pool node has shape [b; s; h], so any two can be combined. *)
   let pool = ref [ x0 ] in
   let wc = ref 0 in
   let weight () =
     incr wc;
-    Graph.input g ~name:(Printf.sprintf "w%d" !wc) (f32 [ h; h ])
+    Graph.input g ~name:(Printf.sprintf "w%d" !wc) (ty [ h; h ])
   in
   let bias () =
     incr wc;
-    Graph.input g ~name:(Printf.sprintf "b%d" !wc) (f32 [ h ])
+    Graph.input g ~name:(Printf.sprintf "b%d" !wc) (ty [ h ])
   in
   let pick_node r = Srng.pick r !pool in
   let push n = pool := n :: !pool in
@@ -660,7 +667,7 @@ let build recipe =
                 [
                   (2, pick_node);
                   ( 1,
-                    fun r -> Graph.constant g (Srng.pick r [ 1.0; 2.0; 0.5 ])
+                    fun r -> const (Srng.pick r [ 1.0; 2.0; 0.5 ])
                   );
                 ]
             in
@@ -679,7 +686,7 @@ let build recipe =
             in
             push
               (if Srng.bool r then Graph.add g O.relu [ pre ]
-               else gelu_subgraph r g pre) );
+               else gelu_subgraph r g ~dtype pre) );
         ( 1,
           fun r ->
             let x = pick_node r in
@@ -687,19 +694,26 @@ let build recipe =
             let k = Graph.add g O.matmul [ x; weight () ] in
             let v = Graph.add g O.matmul [ x; weight () ] in
             let qk = Graph.add g O.matmul [ q; Graph.add g O.trans [ k ] ] in
-            let alpha = Graph.constant g 0.125 in
+            let alpha = const 0.125 in
             let scaled =
               if Srng.bool r then Graph.add g O.div [ qk; alpha ]
               else Graph.add g O.mul [ qk; alpha ]
             in
             let probs = Graph.add g O.softmax [ scaled ] in
             push (Graph.add g O.matmul [ probs; v ]) );
-        (1, fun r -> push (gelu_subgraph r g (pick_node r)));
+        (1, fun r -> push (gelu_subgraph r g ~dtype (pick_node r)));
       ]
   done;
+  (* Every pool node has rank 3; one extra output [x2 · Trans(w)] on a
+     rank-2 input is the shape MMxyT's rank guards accept, so its rules'
+     dtype guards get to decide. *)
+  let mm_xyt =
+    Graph.add g O.matmul
+      [ Graph.input g ~name:"x2" (ty [ s; h ]); Graph.add g O.trans [ weight () ] ]
+  in
   (match !pool with
-  | n1 :: n2 :: _ when Srng.bool r -> Graph.set_outputs g [ n1; n2 ]
-  | n1 :: _ -> Graph.set_outputs g [ n1 ]
+  | n1 :: n2 :: _ when Srng.bool r -> Graph.set_outputs g [ n1; n2; mm_xyt ]
+  | n1 :: _ -> Graph.set_outputs g [ n1; mm_xyt ]
   | [] -> assert false);
   (* Pattern program: a random corpus subset, sometimes preceded by
      synthesized always-firing cleanups. *)

@@ -63,7 +63,9 @@ val graph_recipe : Srng.t -> graph_recipe
 
 (** [build recipe] deterministically rebuilds the environment, the graph
     and the pattern program. Repeated calls with the same recipe produce
-    isomorphic graphs and identical programs. *)
+    isomorphic graphs and identical programs. Every tensor and constant of
+    one graph shares one float element type, f32 in most graphs, so the
+    corpus's dtype guards both pass and reject. *)
 val build :
   graph_recipe ->
   Pypm_patterns.Std_ops.env * Pypm_graph.Graph.t * Pypm_engine.Program.t

@@ -14,7 +14,8 @@
     rule builds its replacement.
 
     A view is a snapshot: after a destructive rewrite it is stale and a
-    fresh view must be built (the engine rebuilds one per traversal). *)
+    fresh view must be built (every engine builds one per iteration, that
+    is, per firing). *)
 
 open Pypm_term
 open Pypm_tensor

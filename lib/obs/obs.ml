@@ -1,16 +1,13 @@
 type outcome = Matched | No_match | Stuck | Out_of_fuel
-type prune = Head_index | Plan_trie
 
 type kind =
   | Match_attempt of { pattern : string; outcome : outcome; visits : int }
-  | Pruned of { pattern : string; via : prune }
+  | Pruned of { pattern : string }
   | Fuel_exhausted of { pattern : string; fuel : int }
   | Matcher_fuel of { visits : int }
   | Guard_reject of { pattern : string; rule : string }
   | Type_reject of { pattern : string; rule : string }
   | Rule_fired of { pattern : string; rule : string; replacement : int }
-  | Plan_walk of { steps : int; hits : int }
-  | Plan_match of { pattern : string }
   | Replace of { old_root : int; new_root : int }
   | Gc of { collected : int }
   | Iteration of { n : int }
@@ -230,10 +227,6 @@ let outcome_to_string = function
   | Stuck -> "stuck"
   | Out_of_fuel -> "out-of-fuel"
 
-let prune_to_string = function
-  | Head_index -> "head-index"
-  | Plan_trie -> "plan-trie"
-
 (* name, category, args *)
 let describe = function
   | Match_attempt { pattern; outcome; visits } ->
@@ -244,10 +237,8 @@ let describe = function
           ("outcome", `S (outcome_to_string outcome));
           ("visits", `I visits);
         ] )
-  | Pruned { pattern; via } ->
-      ( "prune " ^ pattern,
-        "pass",
-        [ ("pattern", `S pattern); ("via", `S (prune_to_string via)) ] )
+  | Pruned { pattern } ->
+      ("prune " ^ pattern, "pass", [ ("pattern", `S pattern) ])
   | Fuel_exhausted { pattern; fuel } ->
       ( "fuel-exhausted " ^ pattern,
         "pass",
@@ -270,10 +261,6 @@ let describe = function
           ("rule", `S rule);
           ("replacement", `I replacement);
         ] )
-  | Plan_walk { steps; hits } ->
-      ("plan-walk", "plan", [ ("steps", `I steps); ("hits", `I hits) ])
-  | Plan_match { pattern } ->
-      ("plan-match " ^ pattern, "plan", [ ("pattern", `S pattern) ])
   | Replace { old_root; new_root } ->
       ( "replace",
         "graph",

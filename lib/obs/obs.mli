@@ -1,7 +1,7 @@
 (** Structured observability for the whole engine.
 
-    Every layer of the matcher stack — the backtracking matcher, the shared
-    plan, the rewrite pass, the graph — emits {e typed events} through this
+    Every layer of the matcher stack — the backtracking matcher, the
+    rewrite pass, the graph — emits {e typed events} through this
     module: match attempts with their outcome and duration, prunes, fuel
     exhaustion, guard and type rejections, rule firings, replacements, GC.
     This is the substrate the evaluation (figures 12/13) and every future
@@ -31,13 +31,12 @@
     dependency order. *)
 type outcome = Matched | No_match | Stuck | Out_of_fuel
 
-(** What rejected a pattern at a node without running the matcher. *)
-type prune = Head_index | Plan_trie
-
 type kind =
   | Match_attempt of { pattern : string; outcome : outcome; visits : int }
       (** the backtracking matcher ran; [visits] = pattern nodes spent *)
-  | Pruned of { pattern : string; via : prune }
+  | Pruned of { pattern : string }
+      (** the root-head prefilter rejected the pattern at a node without
+          running the matcher *)
   | Fuel_exhausted of { pattern : string; fuel : int }
       (** a match attempt hit its fuel bound — {b not} a clean no-match *)
   | Matcher_fuel of { visits : int }
@@ -45,11 +44,6 @@ type kind =
   | Guard_reject of { pattern : string; rule : string }
   | Type_reject of { pattern : string; rule : string }
   | Rule_fired of { pattern : string; rule : string; replacement : int }
-  | Plan_walk of { steps : int; hits : int }
-      (** one shared-trie walk over one node *)
-  | Plan_match of { pattern : string }
-      (** the shared trie reported a witness for a compiled pattern — the
-          backtracking matcher never ran *)
   | Replace of { old_root : int; new_root : int }
   | Gc of { collected : int }
   | Iteration of { n : int }

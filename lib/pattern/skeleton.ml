@@ -27,29 +27,6 @@ let instr_equal a b =
   | Check_fbound x, Check_fbound y -> String.equal x y
   | _ -> false
 
-(* [instr_implies a b]: every subject/binding state that passes [a] also
-   passes [b]. The only non-trivial implication is a head check subsuming
-   the arity check at the same position; everything else is implied only
-   by itself. *)
-let instr_implies a b =
-  instr_equal a b
-  ||
-  match (a, b) with
-  | Check_head (p, _, n), Check_arity (q, m) -> path_equal p q && n = m
-  | _ -> false
-
-(* [branch_subsumes b1 b2]: [b1] succeeds on every subject [b2] succeeds
-   on. A branch is a conjunction — instruction order never affects its
-   outcome, only which witness the bindings form — so it suffices that
-   every constraint of [b1] is implied by some constraint of [b2].
-   Sound but not complete: a genuinely weaker branch spelled with
-   different variable names or different guards is not recognized
-   (callers canonicalize names first when comparing across patterns). *)
-let branch_subsumes b1 b2 =
-  List.for_all
-    (fun i -> List.exists (fun j -> instr_implies j i) b2.instrs)
-    b1.instrs
-
 (* ------------------------------------------------------------------ *)
 (* Alternate expansion                                                 *)
 (* ------------------------------------------------------------------ *)

@@ -17,9 +17,8 @@
     guard whose variables are bound only by a later sibling still fails the
     branch exactly as the matcher's [Backtrack] policy does.
 
-    [Pypm_plan.Plan] compiles the branch strings of a whole pattern library
-    into one shared discrimination trie. The first-witness preservation
-    argument lives in [doc/plan.md]. *)
+    [Pypm_analysis.Analysis] canonicalizes the branches of a pattern
+    library to decide subsumption, shadowing and overlap between them. *)
 
 open Pypm_term
 
@@ -50,20 +49,6 @@ type branch = {
 
 val path_equal : path -> path -> bool
 val instr_equal : instr -> instr -> bool
-
-(** [instr_implies a b] holds when every subject/binding state passing [a]
-    also passes [b]: equality, plus a head check implying the arity check
-    at the same path. *)
-val instr_implies : instr -> instr -> bool
-
-(** [branch_subsumes b1 b2]: [b1] succeeds on every subject [b2] succeeds
-    on — each of [b1]'s instructions is implied by one of [b2]'s. A branch
-    is a conjunction, so instruction order is irrelevant to the outcome.
-    Sound, not complete; variable names are compared literally (the
-    static-analysis layer canonicalizes them before cross-pattern
-    comparisons, the plan compiler compares branches of one pattern where
-    names already agree). *)
-val branch_subsumes : branch -> branch -> bool
 
 (** [extract ?max_branches p] is the ordered branch list of [p], or [None]
     if [p] falls outside the decision fragment ([mu], [Call], match

@@ -46,8 +46,7 @@ val last_visits : unit -> int
 
 (** Nodes visited by every call since {!reset_cumulative_visits}: the total
     backtracking-matcher work a whole pass performed. The FIG12/13 engine
-    comparison resets this around each engine run; the shared-plan engine's
-    analogous counter is [Plan.cumulative_steps]. *)
+    comparison resets this around each engine run. *)
 val cumulative_visits : unit -> int
 
 val reset_cumulative_visits : unit -> unit

@@ -163,21 +163,15 @@ let server_stats sh : Protocol.server_stats =
 (* ------------------------------------------------------------------ *)
 
 (* One per worker domain, built on that domain: the operator environment
-   and a cache of prepared engines keyed by (program, engine) — the plan
-   trie is compiled once per worker, not once per request. When the
-   supervisor restarts a crashed worker, the replacement's [setup] builds
-   a fresh context, so whatever state the crash poisoned is gone. *)
+   and a cache of prepared engines keyed by (program, engine), so a
+   program is decoded and linted once per worker, not once per request.
+   When the supervisor restarts a crashed worker, the replacement's
+   [setup] builds a fresh context, so whatever state the crash poisoned
+   is gone. *)
 type wctx = {
   env : Std_ops.env;
   prepared : (string, Pass.prepared) Hashtbl.t;
 }
-
-let engine_of_string = function
-  | "naive" -> Some Pass.Naive
-  | "index" -> Some Pass.Index
-  | "plan" -> Some Pass.Plan
-  | "egraph" -> Some Pass.Egraph
-  | _ -> None
 
 let named_program env = function
   | "none" -> Some (Program.make ~sg:env.Std_ops.sg [])
@@ -283,7 +277,7 @@ let handle_job sh wctx (j : job) =
     let o = j.joptions in
     match
       let engine =
-        match engine_of_string o.Protocol.engine with
+        match Pass.engine_of_name o.Protocol.engine with
         | Some e -> e
         | None ->
             reject_bad j.jid

@@ -10,8 +10,8 @@
       immediately instead of queueing unbounded work;
     - {e workers}: each worker domain owns a full operator environment
       and a cache of {!Pypm_engine.Pass.prepared} engines keyed by
-      (program, engine), so the plan trie is compiled once per worker,
-      not once per request;
+      (program, engine), so a program is decoded and linted once per
+      worker, not once per request;
     - {e supervision}: an exception escaping a job kills its worker
       domain; the pool supervisor restarts it with a fresh environment
       under [restart_budget]. The job is retried once; a job that kills

@@ -1,7 +1,8 @@
 (* The static pattern-library linter (lib/analysis): guard satisfiability
    over the attribute-interval fragment, subsumption and overlap witnesses,
-   shadowing under ordered alternates, lint wiring (Program.make ~lint,
-   plan pruning, Pass.Config) and the Pypm_api facade. *)
+   shadowing under ordered alternates, the skeleton extraction they rest
+   on, lint wiring (Program.make ~lint, Pass.Config) and the Pypm_api
+   facade. *)
 
 open Pypm_term
 open Pypm_pattern
@@ -10,7 +11,6 @@ open Pypm_engine
 module F = Pypm_testutil.Fixtures
 module P = Pattern
 module A = Pypm.Analysis
-module Plan = Pypm.Plan
 module Std_ops = Pypm.Std_ops
 module Corpus = Pypm.Corpus
 module Transformer = Pypm.Transformer
@@ -27,6 +27,43 @@ let checks = Alcotest.(check string)
 let sg = F.sg
 let interp = F.interp
 let matched p t = Outcome.is_matched (Matcher.matches ~interp p t)
+
+(* ------------------------------------------------------------------ *)
+(* Skeleton extraction                                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* The decision fragment every analysis starts from: which patterns
+   [Skeleton.extract] linearizes, and its expansion budget. *)
+let test_extract_fragment () =
+  checkb "app/var compiles" true
+    (Skeleton.extract (P.app "f" [ P.var "x"; P.var "y" ]) <> None);
+  checkb "alt compiles" true
+    (Skeleton.extract (P.alt (P.app "g" [ P.var "x" ]) (P.var "x")) <> None);
+  checkb "mu falls back" true
+    (Skeleton.extract
+       (P.mu "P" ~formals:[ "x" ] ~actuals:[ "x" ]
+          (P.alt (P.app "g" [ P.call "P" [ "x" ] ]) (P.var "x")))
+    = None);
+  checkb "constr falls back" true
+    (Skeleton.extract (P.constr (P.var "x") (P.app "g" [ P.var "y" ]) "x")
+    = None);
+  (match
+     Skeleton.extract
+       (P.app "f"
+          [ P.alt (P.var "x") (P.const "a"); P.alt (P.var "y") (P.const "b") ])
+   with
+  | Some bs -> checki "2x2 alternates expand to 4 branches" 4 (List.length bs)
+  | None -> Alcotest.fail "expected compilable");
+  (* expansion budget: a pattern wider than max_branches falls back *)
+  let wide =
+    P.app "f"
+      [
+        P.alts (List.init 20 (fun i -> P.const (Printf.sprintf "c%d" i)));
+        P.alts (List.init 20 (fun i -> P.const (Printf.sprintf "d%d" i)));
+      ]
+  in
+  checkb "expansion budget enforced" true
+    (Skeleton.extract ~max_branches:64 wide = None)
 
 (* ------------------------------------------------------------------ *)
 (* Guard satisfiability                                                *)
@@ -321,90 +358,6 @@ let test_program_make_lint () =
   checki "warned program still constructed" 2 (List.length p.Program.entries)
 
 (* ------------------------------------------------------------------ *)
-(* Plan pruning                                                        *)
-(* ------------------------------------------------------------------ *)
-
-let test_plan_pruning_identical () =
-  (* overlapping alternates whose expansion repeats a branch string —
-     f(x, a|b) | f(x, a) expands to f(x,a); f(x,b); f(x,a) — the duplicate
-     can never be the lowest-index success, so pruning drops it and every
-     match result is unchanged. (Branch subsumption at this layer is
-     literal: arms that differ only in variable names are the analysis
-     layer's shadowing lint, not the plan compiler's.) *)
-  let entries =
-    [
-      ( "P",
-        P.alt
-          (P.app "f" [ P.var "x"; P.alt (P.const "a") (P.const "b") ])
-          (P.app "f" [ P.var "x"; P.const "a" ]) );
-      ("Q", P.app "f" [ P.var "x"; P.const "a" ]);
-    ]
-  in
-  let pruned = Plan.compile entries in
-  let unpruned = Plan.compile ~prune_subsumed:false entries in
-  checkb "something was pruned" true (Plan.pruned pruned = [ ("P", 1) ]);
-  checkb "nothing pruned when disabled" true (Plan.pruned unpruned = []);
-  checkb "pruned trie is smaller" true
-    (Plan.branch_count pruned < Plan.branch_count unpruned);
-  let probes =
-    [
-      F.f2 F.a F.b; F.f2 (F.g1 F.a) (Term.const "a"); F.f2 (F.g1 F.b) F.c;
-      F.g1 F.a; F.a; F.f2 (F.f2 F.a F.b) (Term.const "a");
-      F.h3 F.a F.b F.c; F.f2 (F.g1 (F.g1 F.c)) (F.g1 F.a);
-    ]
-  in
-  List.iter
-    (fun t ->
-      let show rs =
-        String.concat "; "
-          (List.map
-             (fun (name, (theta, phi)) ->
-               Printf.sprintf "%s: %s %s" name (Subst.to_string theta)
-                 (Fsubst.to_string phi))
-             rs)
-      in
-      checks
-        (Printf.sprintf "results identical on %s" (Term.to_string t))
-        (show (Plan.match_node unpruned ~interp t))
-        (show (Plan.match_node pruned ~interp t)))
-    probes
-
-let test_pass_reports_pruning () =
-  (* [plan_pruned] mixes trie-walk rejections with statically dropped
-     branches; isolate the static part by comparing a pattern against the
-     same pattern with a literally duplicate alternate arm *)
-  let build () =
-    let env = Std_ops.make () in
-    let cfg = Transformer.config "t" ~layers:2 ~hidden:64 ~seq:16 in
-    (env, Transformer.build env cfg)
-  in
-  let add = P.app "Add" [ P.var "x"; P.var "y" ] in
-  let run pattern =
-    let env, g = build () in
-    let prog =
-      Program.make ~sg:env.Std_ops.sg
-        [ { pname = "AddAny"; pattern; rules = [] } ]
-    in
-    let stats =
-      Pypm.Pass.match_only_cfg
-        ~config:
-          {
-            Pypm.Pass.Config.default with
-            Pypm.Pass.Config.engine = Some Pypm.Pass.Plan;
-          }
-        prog g
-    in
-    List.find
-      (fun (p : Pypm.Pass.pattern_stats) -> p.Pypm.Pass.ps_name = "AddAny")
-      stats.Pypm.Pass.per_pattern
-  in
-  let single = run add and dup = run (P.alt add add) in
-  checki "duplicate arm pruned, trie otherwise identical"
-    (single.Pypm.Pass.plan_pruned + 1)
-    dup.Pypm.Pass.plan_pruned;
-  checki "same matches" single.Pypm.Pass.matches dup.Pypm.Pass.matches
-
-(* ------------------------------------------------------------------ *)
 (* Pass.Config                                                         *)
 (* ------------------------------------------------------------------ *)
 
@@ -479,6 +432,8 @@ let test_api_pipeline () =
 let () =
   Alcotest.run "analysis"
     [
+      ( "skeleton",
+        [ Alcotest.test_case "decision fragment" `Quick test_extract_fragment ] );
       ("guards", [ Alcotest.test_case "interval verdicts" `Quick test_guard_status ]);
       ( "subsumption",
         [
@@ -509,10 +464,6 @@ let () =
         [
           Alcotest.test_case "Program.make ~lint admission" `Quick
             test_program_make_lint;
-          Alcotest.test_case "plan pruning: identical results" `Quick
-            test_plan_pruning_identical;
-          Alcotest.test_case "pass reports pruned branches" `Quick
-            test_pass_reports_pruning;
         ] );
       ( "config",
         [

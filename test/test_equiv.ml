@@ -111,29 +111,6 @@ let prop_context_stable =
           QCheck2.assume_fail ()
       | a, b -> Outcome.equal a b)
 
-(* The shared matching plan preserves the first witness: for every pattern
-   in the compilable fragment, the plan's match of a single-pattern library
-   is exactly the production matcher's first result (backtrack policy). *)
-let prop_plan_first_witness =
-  F.qtest ~count:2000 "plan first witness = matcher (backtrack)" F.Gen.pair
-    F.pattern_print (fun (p, t) ->
-      match Skeleton.extract p with
-      | None -> QCheck2.assume_fail ()
-      | Some _ -> (
-          let plan = Pypm.Plan.compile [ ("P", p) ] in
-          let expected =
-            Matcher.matches ~interp ~policy:Outcome.Policy.Backtrack ~fuel p t
-          in
-          let got =
-            List.assoc_opt "P" (Pypm.Plan.match_node plan ~interp t)
-          in
-          match (expected, got) with
-          | Outcome.Matched (theta, phi), Some (theta', phi') ->
-              Subst.equal theta theta' && Fsubst.equal phi phi'
-          | Outcome.Out_of_fuel, _ -> QCheck2.assume_fail ()
-          | (Outcome.No_match | Outcome.Stuck), None -> true
-          | _ -> false))
-
 (* The theory against the application: over every node of real model
    graphs and every corpus pattern (with the tensor attribute
    interpretation), the abstract machine and the production matcher agree
@@ -210,7 +187,6 @@ let () =
           prop_matched_implies_holds;
           prop_machine_deterministic;
           prop_context_stable;
-          prop_plan_first_witness;
         ] );
       ( "realistic",
         [

@@ -142,7 +142,7 @@ let run_counted ~config prog g =
     (Pass.engine_name (Option.get config.Pass.Config.engine)
     ^ ": counters agree with events")
     []
-    (Fuzz.counter_mismatches prog stats (Obs.Collector.events c));
+    (Fuzz.counter_mismatches stats (Obs.Collector.events c));
   stats
 
 let sum field (stats : Pass.stats) =
@@ -180,17 +180,6 @@ let test_counters_match_events () =
       checkb "guards rejected" true
         (sum (fun ps -> ps.Pass.guard_rejections) stats > 0))
     engines;
-  (* a literally duplicate alternate arm: the plan compiler drops it, and
-     that static share of [plan_pruned] has no event *)
-  let add = Pattern.app Std_ops.add [ Pattern.var "x"; Pattern.var "y" ] in
-  let e, g = (Option.get (Zoo.find "bert-tiny")).Zoo.build () in
-  let prog =
-    Program.make ~sg:e.Std_ops.sg
-      [ { Program.pname = "AddAny"; pattern = Pattern.alt add add; rules = [] } ]
-  in
-  checkb "the plan prunes statically" true
-    (Plan.pruned (Plan.compile [ ("AddAny", Pattern.alt add add) ]) <> []);
-  ignore (run_counted ~config:(with_engine Pass.Plan) prog g);
   (* a fault-seeded run: rollbacks and fuel cuts *)
   let e, g = (Option.get (Zoo.find "bert-base")).Zoo.build () in
   let stats =

@@ -1,192 +1,30 @@
-(* The pattern-set compiler (lib/plan): skeleton extraction, prefix
-   sharing in the shared trie, guard hoisting safety, first-witness
-   preservation against the production matcher, and incremental-mode
-   fixpoint equivalence with the full-traversal pass on every zoo model. *)
+(* The plan engine: the dirty-region worklist over the root-head index.
+   Its pinned rewrite sequence on two full models, the rescan of an old
+   replacement, fixpoint equivalence with the full-traversal engines on
+   every zoo model, and matching identical to the index's. *)
 
-open Pypm_term
 open Pypm_pattern
 open Pypm_semantics
 module F = Pypm_testutil.Fixtures
 module P = Pattern
-module Plan = Pypm.Plan
 
 let checki = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 
 (* ------------------------------------------------------------------ *)
-(* Skeleton extraction                                                 *)
+(* Guard evaluation point                                              *)
 (* ------------------------------------------------------------------ *)
 
-let test_extract_fragment () =
-  checkb "app/var compiles" true
-    (Skeleton.extract (P.app "f" [ P.var "x"; P.var "y" ]) <> None);
-  checkb "alt compiles" true
-    (Skeleton.extract (P.alt (P.app "g" [ P.var "x" ]) (P.var "x")) <> None);
-  checkb "mu falls back" true
-    (Skeleton.extract
-       (P.mu "P" ~formals:[ "x" ] ~actuals:[ "x" ]
-          (P.alt (P.app "g" [ P.call "P" [ "x" ] ]) (P.var "x")))
-    = None);
-  checkb "constr falls back" true
-    (Skeleton.extract (P.constr (P.var "x") (P.app "g" [ P.var "y" ]) "x")
-    = None);
-  (match
-     Skeleton.extract
-       (P.app "f"
-          [ P.alt (P.var "x") (P.const "a"); P.alt (P.var "y") (P.const "b") ])
-   with
-  | Some bs -> checki "2x2 alternates expand to 4 branches" 4 (List.length bs)
-  | None -> Alcotest.fail "expected compilable");
-  (* expansion budget: a pattern wider than max_branches falls back *)
-  let wide =
-    P.app "f"
-      [
-        P.alts (List.init 20 (fun i -> P.const (Printf.sprintf "c%d" i)));
-        P.alts (List.init 20 (fun i -> P.const (Printf.sprintf "d%d" i)));
-      ]
-  in
-  checkb "expansion budget enforced" true
-    (Skeleton.extract ~max_branches:64 wide = None)
-
-(* ------------------------------------------------------------------ *)
-(* Prefix sharing                                                      *)
-(* ------------------------------------------------------------------ *)
-
-let test_prefix_sharing () =
-  (* Two patterns with a common skeleton f(g(x), _): the trie performs the
-     three shared prefix instructions once. *)
-  let p1 = P.app "f" [ P.app "g" [ P.var "x" ]; P.var "y" ] in
-  let p2 = P.app "f" [ P.app "g" [ P.var "x" ]; P.const "a" ] in
-  let plan = Plan.compile [ ("P1", p1); ("P2", p2) ] in
-  checki "two branches" 2 (Plan.branch_count plan);
-  checki "eight instructions before sharing" 8 (Plan.instr_total plan);
-  checki "five trie edges after sharing" 5 (Plan.node_count plan - 1);
-  checki "three instructions shared" 3
-    (Plan.instr_total plan - (Plan.node_count plan - 1));
-  (* both still match independently *)
-  let t1 = Term.app "f" [ F.g1 F.a; F.b ] in
-  let r = Plan.match_node plan ~interp:F.interp t1 in
-  checkb "P1 matches" true (List.mem_assoc "P1" r);
-  checkb "P2 does not" false (List.mem_assoc "P2" r);
-  let t2 = Term.app "f" [ F.g1 F.b; F.a ] in
-  let r2 = Plan.match_node plan ~interp:F.interp t2 in
-  checkb "both match" true (List.mem_assoc "P1" r2 && List.mem_assoc "P2" r2)
-
-(* Alternates of one pattern share their common prefix too. *)
-let test_prefix_sharing_within_pattern () =
-  let p =
-    P.app "f" [ P.app "g" [ P.var "x" ]; P.alt (P.const "a") (P.const "b") ]
-  in
-  let plan = Plan.compile [ ("P", p) ] in
-  checki "two branches" 2 (Plan.branch_count plan);
-  (* 4 + 4 instructions, 3 shared *)
-  checki "shared prefix" 3
-    (Plan.instr_total plan - (Plan.node_count plan - 1))
-
-(* ------------------------------------------------------------------ *)
-(* Guard hoisting safety                                               *)
-(* ------------------------------------------------------------------ *)
-
-(* A guard that mentions a variable bound only by a LATER sibling must
-   fail the branch, exactly like the matcher's Backtrack policy (the
-   guard's natural evaluation point precedes the binding). Hoisting must
-   never move a guard later. *)
+(* A guard that mentions a variable bound only by a LATER sibling fails
+   the match under the Backtrack policy: the guard is evaluated at its
+   natural point, which precedes the binding, never later. *)
 let test_guard_not_moved_later () =
   let g = Guard.Le (Guard.Const 1, Guard.Var_attr ("y", "size")) in
   let p = P.app "f" [ P.Guarded (P.var "x", g); P.var "y" ] in
   let t = F.f2 F.a F.b in
   checkb "matcher rejects" true
     (Matcher.matches ~interp:F.interp ~policy:Outcome.Policy.Backtrack p t
-    = Outcome.No_match);
-  let plan = Plan.compile [ ("P", p) ] in
-  checki "plan rejects too" 0
-    (List.length (Plan.match_node plan ~interp:F.interp t))
-
-(* A guard over an early-bound variable is hoisted before later structure:
-   same outcome, fewer steps on mismatching subjects. *)
-let test_guard_hoisted_earlier () =
-  let deep k =
-    let rec go n = if n = 0 then P.var "y" else P.app "g" [ go (n - 1) ] in
-    go k
-  in
-  let guard = Guard.Le (Guard.Const 99, Guard.Var_attr ("x", "size")) in
-  let p = P.app "f" [ P.var "x"; P.Guarded (deep 6, guard) ] in
-  let plan = Plan.compile [ ("P", p) ] in
-  (* subject whose x is tiny: the hoisted guard fails before the deep
-     right-hand structure is traversed *)
-  let rec tower n = if n = 0 then F.b else F.g1 (tower (n - 1)) in
-  let t = F.f2 F.a (tower 6) in
-  checki "no match" 0 (List.length (Plan.match_node plan ~interp:F.interp t));
-  let steps = Plan.last_steps () in
-  checkb (Printf.sprintf "guard fails early (%d steps)" steps) true (steps <= 4);
-  (* and the matcher agrees on the outcome *)
-  checkb "matcher agrees" true
-    (Matcher.matches ~interp:F.interp ~policy:Outcome.Policy.Backtrack p t
     = Outcome.No_match)
-
-(* ------------------------------------------------------------------ *)
-(* First-witness preservation on the corpus                            *)
-(* ------------------------------------------------------------------ *)
-
-let corpus_plan prog =
-  Plan.compile
-    (List.map
-       (fun (e : Pypm.Program.entry) ->
-         (e.Pypm.Program.pname, e.Pypm.Program.pattern))
-       prog.Pypm.Program.entries)
-
-let test_corpus_classification () =
-  let open Pypm in
-  let env = Std_ops.make () in
-  let prog = Corpus.full_program env.Std_ops.sg in
-  let plan = corpus_plan prog in
-  let compiled = Plan.compiled_names plan and fb = Plan.fallback_names plan in
-  checkb "MHA compiled" true (List.mem "MHA" compiled);
-  checkb "Gelu compiled" true (List.mem "Gelu" compiled);
-  checkb "ConvEpilog (match constraint) falls back" true
-    (List.mem "ConvEpilog" fb);
-  checkb "ReluChain (mu) falls back" true (List.mem "ReluChain" fb);
-  checkb "most of the corpus compiles" true (List.length compiled >= 10)
-
-let test_first_witness_on_model () =
-  let open Pypm in
-  let m = Option.get (Zoo.find "bert-mini") in
-  let env, g = m.Zoo.build () in
-  let prog = Corpus.full_program env.Std_ops.sg in
-  let plan = corpus_plan prog in
-  let compiled = Plan.compiled_names plan in
-  let view = Term_view.create g in
-  let interp = Term_view.interp view in
-  let agreed = ref 0 and matched = ref 0 in
-  List.iter
-    (fun node ->
-      let t = Term_view.term_of view node in
-      let results = Plan.match_node plan ~interp t in
-      List.iter
-        (fun (e : Program.entry) ->
-          if List.mem e.Program.pname compiled then begin
-            let expected =
-              Matcher.matches ~interp ~policy:Outcome.Policy.Backtrack
-                ~fuel:200_000 e.Program.pattern t
-            in
-            incr agreed;
-            match (expected, List.assoc_opt e.Program.pname results) with
-            | Outcome.Matched (th, ph), Some (th', ph') ->
-                incr matched;
-                if not (Subst.equal th th' && Fsubst.equal ph ph') then
-                  Alcotest.failf "witness differs for %s at node %d"
-                    e.Program.pname node.Graph.id
-            | Outcome.Matched _, None ->
-                Alcotest.failf "plan missed a %s match at node %d"
-                  e.Program.pname node.Graph.id
-            | _, Some _ ->
-                Alcotest.failf "plan over-matched %s at node %d"
-                  e.Program.pname node.Graph.id
-            | _, None -> ()
-          end)
-        prog.Program.entries)
-    (Graph.live_nodes g);
-  checkb "exercised" true (!agreed > 500 && !matched > 5)
 
 (* ------------------------------------------------------------------ *)
 (* Incremental fixpoint equivalence on every zoo model                 *)
@@ -348,9 +186,10 @@ let test_old_replacement_rescanned () =
     (List.map (fun (i : Graph.node) -> i.Graph.id) n.Graph.inputs);
   Alcotest.(check (list string)) "graph valid" [] (Graph.validate g)
 
-(* The plan engine runs the backtracking matcher strictly less than the
-   root-head index, and accounts pruning distinctly from index skips. *)
-let test_plan_prunes_more_than_index () =
+(* The plan engine matches exactly as the root-head index: at every node
+   each pattern behind its prefilter, then the backtracking matcher. A
+   sweep of both over one model gives the same per-pattern counters. *)
+let test_plan_matches_as_index () =
   let open Pypm in
   let m = Option.get (Zoo.find "gpt2-small") in
   let measure engine =
@@ -367,46 +206,25 @@ let test_plan_prunes_more_than_index () =
   in
   let s_idx, v_idx = measure Pass.Index in
   let s_plan, v_plan = measure Pass.Plan in
-  checkb "plan uses strictly fewer matcher visits" true (v_plan < v_idx);
-  let sum f s = List.fold_left (fun a ps -> a + f ps) 0 s.Pass.per_pattern in
-  checkb "plan runs strictly fewer matcher attempts" true
-    (sum (fun ps -> ps.Pass.attempts) s_plan
-    < sum (fun ps -> ps.Pass.attempts) s_idx);
-  checkb "plan prunes via the trie" true
-    (sum (fun ps -> ps.Pass.plan_pruned) s_plan > 0);
-  checki "index never plan-prunes" 0 (sum (fun ps -> ps.Pass.plan_pruned) s_idx);
-  (* identical match counts *)
-  checki "same matches"
-    (sum (fun ps -> ps.Pass.matches) s_idx)
-    (sum (fun ps -> ps.Pass.matches) s_plan)
+  checki "same matcher visits" v_idx v_plan;
+  List.iter2
+    (fun (pi : Pass.pattern_stats) (pp : Pass.pattern_stats) ->
+      let name = pi.Pass.ps_name in
+      checki (name ^ " attempts") pi.Pass.attempts pp.Pass.attempts;
+      checki (name ^ " skipped") pi.Pass.skipped pp.Pass.skipped;
+      checki (name ^ " matches") pi.Pass.matches pp.Pass.matches;
+      checki (name ^ " plan_pruned") 0 pp.Pass.plan_pruned)
+    s_idx.Pass.per_pattern s_plan.Pass.per_pattern;
+  checkb "the prefilter skipped something" true
+    (List.exists (fun ps -> ps.Pass.skipped > 0) s_plan.Pass.per_pattern)
 
 let () =
   Alcotest.run "plan"
     [
-      ( "skeleton",
-        [
-          Alcotest.test_case "decision fragment" `Quick test_extract_fragment;
-        ] );
-      ( "trie",
-        [
-          Alcotest.test_case "prefix sharing across patterns" `Quick
-            test_prefix_sharing;
-          Alcotest.test_case "prefix sharing within a pattern" `Quick
-            test_prefix_sharing_within_pattern;
-        ] );
       ( "guards",
         [
           Alcotest.test_case "guards never move later" `Quick
             test_guard_not_moved_later;
-          Alcotest.test_case "guards hoist earlier" `Quick
-            test_guard_hoisted_earlier;
-        ] );
-      ( "first-witness",
-        [
-          Alcotest.test_case "corpus classification" `Quick
-            test_corpus_classification;
-          Alcotest.test_case "corpus patterns over a model graph" `Quick
-            test_first_witness_on_model;
         ] );
       ( "incremental",
         [
@@ -416,7 +234,7 @@ let () =
             test_old_replacement_rescanned;
           Alcotest.test_case "fixpoint equivalence on every zoo model" `Slow
             test_incremental_fixpoint_equivalence;
-          Alcotest.test_case "plan prunes more than the index" `Quick
-            test_plan_prunes_more_than_index;
+          Alcotest.test_case "plan matches exactly as the index" `Quick
+            test_plan_matches_as_index;
         ] );
     ]
