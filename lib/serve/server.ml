@@ -49,6 +49,11 @@ type conn = {
   reader : Protocol.Reader.t;
   wmutex : Mutex.t;
   mutable alive : bool;
+  mutable polled : bool;
+      (* the accept loop still selects and reads on the fd; a worker whose
+         write found the peer dead must leave the fd open until the loop
+         has dropped it, or the loop would select or read a closed (or
+         recycled) descriptor *)
   mutable pending : int;
       (* jobs in flight for this connection; the fd is closed only when
          this reaches 0 after death — otherwise a worker's late response
@@ -68,7 +73,8 @@ let retain conn =
 let release conn =
   Mutex.protect conn.wmutex (fun () ->
       conn.pending <- conn.pending - 1;
-      if (not conn.alive) && conn.pending = 0 then close_fd_once conn)
+      if (not conn.alive) && (not conn.polled) && conn.pending = 0 then
+        close_fd_once conn)
 
 let write_all fd s =
   let n = String.length s in
@@ -547,6 +553,7 @@ let run ?(on_ready = fun () -> ()) ?(stop = fun () -> false)
     Hashtbl.remove conns c.fd;
     Mutex.protect c.wmutex (fun () ->
         c.alive <- false;
+        c.polled <- false;
         if c.pending = 0 then close_fd_once c)
   in
   let buf = Bytes.create 65536 in
@@ -597,6 +604,7 @@ let run ?(on_ready = fun () -> ()) ?(stop = fun () -> false)
                           ~max_frame:cfg.max_frame_bytes ();
                       wmutex = Mutex.create ();
                       alive = true;
+                      polled = true;
                       pending = 0;
                       closed = false;
                     }

@@ -232,7 +232,7 @@ let () =
             test_pinned_rewrite_sequence;
           Alcotest.test_case "old replacement rescanned" `Quick
             test_old_replacement_rescanned;
-          Alcotest.test_case "fixpoint equivalence on every zoo model" `Slow
+          Alcotest.test_case "fixpoint equivalence on every zoo" `Slow
             test_incremental_fixpoint_equivalence;
           Alcotest.test_case "plan matches exactly as the index" `Quick
             test_plan_matches_as_index;
